@@ -177,7 +177,10 @@ fn fig6(cfg: &Config) {
         );
         for &k in &cfg.ks {
             for algo in FIG6 {
-                let m = run_algo_avg(&ds, &queries, k, algo);
+                // Each row on a store of its own: a shared block cache
+                // would charge the first engine with every later one's
+                // reads.
+                let m = run_stream_avg(&ds.open_fresh(), &queries, k, algo);
                 println!(
                     "{:<4} {:<8} {:>12} {:>12} {:>12} {:>12} {:>12}",
                     k,

@@ -111,6 +111,15 @@ pub struct Dataset {
     pub path: PathBuf,
 }
 
+impl Dataset {
+    /// Opens the store file again: a handle of its own, with an empty
+    /// block cache and zeroed I/O counters, so a run over it is charged
+    /// with exactly the reads it makes.
+    pub fn open_fresh(&self) -> SharedSource {
+        open_store_auto(&self.path, None).expect("re-open closure store")
+    }
+}
+
 fn cache_dir() -> PathBuf {
     let mut p = std::env::current_dir().expect("cwd");
     // Walk up to the workspace root if invoked from a member dir.
@@ -235,37 +244,23 @@ impl Measurement {
     }
 }
 
-/// Measures one facade stream — the same execution path `ktpm::api`,
-/// `ktpm query` and serving sessions run: the engine is selected by
-/// [`Algo`] through the single [`build_stream`] dispatch, top-1 is one
-/// pull, and the remaining `k-1` matches arrive in ONE batched
-/// `next_batch` call (the shape a `NEXT <s> k` serves).
+/// Measures one facade stream over `store` — the same execution path
+/// `ktpm::api`, `ktpm query` and serving sessions run: a cold plan, the
+/// engine selected by [`Algo`] through the single [`build_stream`]
+/// dispatch, top-1 in one pull, and the remaining `k-1` matches in ONE
+/// batched `next_batch` call (the shape a `NEXT <s> k` serves). The
+/// store's I/O counters are reset, but not its block cache: pass a
+/// [`Dataset::open_fresh`] store to charge the run with all its reads.
 pub fn run_stream(
-    ds: &Dataset,
+    store: &SharedSource,
     query: &ResolvedQuery,
     k: usize,
     algo: Algo,
     policy: &ParallelPolicy,
     pool: &Arc<WorkerPool>,
 ) -> Measurement {
-    ds.store.reset_io();
-    let mut m = Measurement::default();
-    let t0 = Instant::now();
-    let plan = QueryPlan::new(query.clone(), Arc::clone(&ds.store));
-    let mut it = build_stream(algo, &plan, policy, Arc::clone(pool));
-    let first = MatchStream::next(&mut *it);
-    m.top1_secs = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let mut rest = Vec::new();
-    if first.is_some() {
-        it.next_batch(k.saturating_sub(1), &mut rest);
-    }
-    m.produced = usize::from(first.is_some()) + rest.len();
-    m.enum_secs = t1.elapsed().as_secs_f64();
-    let io = ds.store.io();
-    m.edges_loaded = io.edges_read;
-    m.bytes_read = io.bytes_read;
-    m
+    let plan = QueryPlan::new(query.clone(), Arc::clone(store));
+    run_plan_stream(store, &plan, k, algo, policy, pool)
 }
 
 /// As [`run_stream`], but over a pre-built plan — the warm-open shape,
@@ -307,7 +302,7 @@ pub fn run_plan_stream(
 /// left in the harness.
 pub fn run_algo(ds: &Dataset, query: &ResolvedQuery, k: usize, algo: Algo) -> Measurement {
     run_stream(
-        ds,
+        &ds.store,
         query,
         k,
         algo,
@@ -338,7 +333,7 @@ pub fn run_par(
     pool: &Arc<WorkerPool>,
 ) -> Measurement {
     run_stream(
-        ds,
+        &ds.store,
         query,
         k,
         ktpm_core::Algo::Par,
@@ -361,7 +356,21 @@ pub fn run_par_avg(
 
 /// Averages `run_algo` over a query set.
 pub fn run_algo_avg(ds: &Dataset, queries: &[ResolvedQuery], k: usize, algo: Algo) -> Measurement {
-    run_avg(queries, k, |q, k| run_algo(ds, q, k, algo))
+    run_stream_avg(&ds.store, queries, k, algo)
+}
+
+/// Averages [`run_stream`] over a query set, every run on `store`.
+pub fn run_stream_avg(
+    store: &SharedSource,
+    queries: &[ResolvedQuery],
+    k: usize,
+    algo: Algo,
+) -> Measurement {
+    let policy = ParallelPolicy::default();
+    let pool = ktpm_exec::default_pool();
+    run_avg(queries, k, |q, k| {
+        run_stream(store, q, k, algo, &policy, &pool)
+    })
 }
 
 /// Averages a per-query measurement over a query set, after one k=1
@@ -442,6 +451,20 @@ mod tests {
         }
         let (n, e) = runtime_graph_sizes(&ds, &queries);
         assert!(n > 0.0 && e > 0.0);
+    }
+
+    #[test]
+    fn fresh_stores_charge_each_run_with_its_own_reads() {
+        let ds = prepare_dataset("SMOKE", &GraphSpec::citation(400, 123));
+        let q = &queries_for(&ds, 6, 1, true)[0];
+        let (policy, pool) = (ParallelPolicy::default(), ktpm_exec::default_pool());
+        for algo in [Algo::DpB, Algo::TopkEn] {
+            let first = run_stream(&ds.open_fresh(), q, 10, algo, &policy, &pool);
+            let second = run_stream(&ds.open_fresh(), q, 10, algo, &policy, &pool);
+            assert!(first.bytes_read > 0, "{algo:?} read nothing");
+            assert_eq!(first.bytes_read, second.bytes_read, "{algo:?}");
+            assert_eq!(first.edges_loaded, second.edges_loaded, "{algo:?}");
+        }
     }
 
     #[test]

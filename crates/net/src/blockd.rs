@@ -20,7 +20,7 @@
 //! (with the frame CRC computed over the flipped bytes, so only the
 //! client's v3 block verification can catch it).
 
-use ktpm_storage::{blockproto, load_snapshot_manifest, Manifest, StorageError};
+use ktpm_storage::{blockproto, crc32, load_snapshot_manifest, Manifest, StorageError};
 use std::fs::File;
 use std::io::{ErrorKind, Read, Seek, SeekFrom, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -29,20 +29,6 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// CRC-32 (IEEE, reflected — identical to the store format's) over
-/// `bytes`, computed locally so the server does not need access to
-/// storage-crate internals beyond the public protocol.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            crc = (crc >> 1) ^ (0xEDB8_8320 & (!(crc & 1)).wrapping_add(1));
-        }
-    }
-    !crc
-}
 
 /// Server-side counters, reported by the `STATS` op.
 #[derive(Default)]

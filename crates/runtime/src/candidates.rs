@@ -10,7 +10,7 @@
 //!   incoming closure edge from the parent label can ever be matched),
 //!   which is both what §4.1 loads at initialization and a useful pruning.
 
-use ktpm_graph::{Dist, NodeId};
+use ktpm_graph::{Dist, LabelId, NodeId};
 use ktpm_query::{EdgeKind, QNodeId, QueryLabel, ResolvedQuery};
 use ktpm_storage::{ClosureSource, ShardSpec};
 use std::collections::HashMap;
@@ -177,30 +177,38 @@ impl CandidateSets {
 }
 
 /// The closure label pairs feeding query edge `(p, u)`: the cross product
-/// of the endpoint label sets, restricted to non-empty tables. Wildcards
-/// expand to every label present in the store.
+/// of the endpoint label sets, restricted to non-empty tables, ascending.
+/// Wildcards expand to every label present in the store. An edge with two
+/// concrete labels costs one [`ClosureSource::contains_pair`] lookup and an
+/// unmatchable end none; only wildcard ends filter
+/// [`ClosureSource::pair_keys`].
 pub fn label_pairs(
     query: &ResolvedQuery,
     source: &dyn ClosureSource,
     p: QNodeId,
     u: QNodeId,
-) -> Vec<(ktpm_graph::LabelId, ktpm_graph::LabelId)> {
-    let keys = source.pair_keys();
-    keys.into_iter()
-        .filter(|&(a, b)| {
-            let src_ok = match query.label(p) {
-                QueryLabel::Label(l) => l == a,
-                QueryLabel::Wildcard => true,
-                QueryLabel::Unmatchable => false,
+) -> Vec<(LabelId, LabelId)> {
+    match (query.label(p), query.label(u)) {
+        (QueryLabel::Label(a), QueryLabel::Label(b)) => {
+            if source.contains_pair(a, b) {
+                vec![(a, b)]
+            } else {
+                Vec::new()
+            }
+        }
+        (QueryLabel::Unmatchable, _) | (_, QueryLabel::Unmatchable) => Vec::new(),
+        (src, dst) => {
+            let ok = |l: QueryLabel, x: LabelId| match l {
+                QueryLabel::Label(l) => l == x,
+                _ => true,
             };
-            let dst_ok = match query.label(u) {
-                QueryLabel::Label(l) => l == b,
-                QueryLabel::Wildcard => true,
-                QueryLabel::Unmatchable => false,
-            };
-            src_ok && dst_ok
-        })
-        .collect()
+            source
+                .pair_keys()
+                .into_iter()
+                .filter(|&(a, b)| ok(src, a) && ok(dst, b))
+                .collect()
+        }
+    }
 }
 
 #[cfg(test)]

@@ -108,7 +108,6 @@
 //! from [`crate::FileStore::open`] rather than aborting the process.
 
 use crate::source::StorageError;
-use std::sync::OnceLock;
 
 /// Version-2 magic (per-section checksums, packed groups).
 pub const MAGIC: &[u8; 8] = b"KTPMCLO2";
@@ -164,32 +163,64 @@ impl FormatVersion {
     }
 }
 
-fn crc_table() -> &'static [u32; 256] {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *slot = c;
+/// Slicing-by-8 lookup tables for the reflected IEEE polynomial:
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table, and
+/// `CRC_TABLES[s][i]` is the CRC state of byte `i` followed by `s` zero
+/// bytes, so eight input bytes fold into the state with eight lookups.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
         }
-        table
-    })
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut s = 1;
+    while s < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[s - 1][i];
+            t[s][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        s += 1;
+    }
+    t
 }
 
 /// Streaming CRC-32 (IEEE 802.3) update; start from
-/// [`CRC_INIT`], finish with [`crc32_finish`].
+/// [`CRC_INIT`], finish with [`crc32_finish`]. Folds eight bytes per
+/// step (slicing-by-8); the values are those of the byte-at-a-time
+/// table algorithm.
 pub fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
-    let table = crc_table();
+    let t = &CRC_TABLES;
     let mut c = state;
-    for &b in bytes {
-        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c
 }
@@ -329,6 +360,80 @@ mod tests {
         let s = crc32_update(CRC_INIT, b"1234");
         let s = crc32_update(s, b"56789");
         assert_eq!(crc32_finish(s), 0xCBF4_3926);
+    }
+
+    /// The byte-at-a-time reference the sliced update must equal.
+    fn crc32_update_bytewise(state: u32, bytes: &[u8]) -> u32 {
+        let mut c = state;
+        for &b in bytes {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        c
+    }
+
+    /// A deterministic xorshift byte stream for the CRC tests.
+    fn noise(seed: u64, len: usize) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sliced_crc32_equals_bytewise_reference() {
+        // Lengths 0..=64 cover every remainder after the 8-byte words,
+        // each from the initial, a zero and an arbitrary state.
+        let buf = noise(0x9E37_79B9, 64);
+        for len in 0..=64 {
+            for state in [CRC_INIT, 0, 0x1234_5678] {
+                assert_eq!(
+                    crc32_update(state, &buf[..len]),
+                    crc32_update_bytewise(state, &buf[..len]),
+                    "length {len}, state {state:#x}"
+                );
+            }
+        }
+        for seed in 1..=20u64 {
+            let len = 1 + (seed as usize * 977) % 5000;
+            let buf = noise(seed, len);
+            assert_eq!(
+                crc32(&buf),
+                crc32_finish(crc32_update_bytewise(CRC_INIT, &buf)),
+                "seed {seed}, length {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn sliced_crc32_agrees_across_random_splits() {
+        for seed in 1..=20u64 {
+            let buf = noise(seed.wrapping_mul(0xA24B_AED4_963E_E407), 3000);
+            let whole = crc32(&buf);
+            let mut cuts = noise(seed, 6)
+                .iter()
+                .map(|&b| (b as usize * buf.len()) / 256)
+                .collect::<Vec<_>>();
+            cuts.sort_unstable();
+            let mut state = CRC_INIT;
+            let mut from = 0;
+            for cut in cuts.into_iter().chain([buf.len()]) {
+                state = crc32_update(state, &buf[from..cut]);
+                from = cut;
+            }
+            assert_eq!(crc32_finish(state), whole, "seed {seed}");
+        }
     }
 
     #[test]

@@ -52,7 +52,7 @@ mod sharded;
 mod source;
 mod writer;
 
-pub use format::{FormatVersion, DEFAULT_BLOCK_EDGES, MAGIC_V4};
+pub use format::{crc32, FormatVersion, DEFAULT_BLOCK_EDGES, MAGIC_V4};
 pub use iostats::{IoSnapshot, IoStats};
 pub use live::LiveStore;
 pub use manifest::{Manifest, ShardFileMeta};

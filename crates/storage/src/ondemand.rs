@@ -135,6 +135,11 @@ impl ClosureSource for OnDemandStore {
         keys
     }
 
+    fn contains_pair(&self, a: LabelId, b: LabelId) -> bool {
+        let present = |l| !self.graph.nodes_with_label(l).is_empty();
+        present(a) && present(b)
+    }
+
     fn load_d(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, Dist)> {
         let Some(t) = self.table(a, b) else {
             return Vec::new();

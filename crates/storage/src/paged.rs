@@ -24,6 +24,10 @@
 //! file a distinct `file_id` and one shared cache, so the byte budget
 //! bounds the whole snapshot.
 //!
+//! The label-pair index is verified at open and kept as the sorted
+//! `Vec` the writer produced: lookups binary-search it, and
+//! [`ClosureSource::pair_keys`] copies it in order without sorting.
+//!
 //! Cache traffic is accounted in [`IoStats`]: `cache_hits` /
 //! `cache_misses` / `cache_evictions` plus the `cache_bytes_resident`
 //! gauge, alongside the usual block/byte/edge counters (which, here,
@@ -45,8 +49,9 @@ use crate::source::{ClosureSource, EdgeCursor, StorageError};
 use ktpm_closure::ClosureTables;
 use ktpm_graph::{undirect, Dist, LabelId, LabeledGraph, NodeId};
 use std::collections::HashMap;
-use std::io::{Read, Seek, SeekFrom};
+use std::io::Read;
 use std::ops::Range;
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -58,6 +63,10 @@ pub const DEFAULT_BLOCK_CACHE_BYTES: u64 = 8 * 1024 * 1024;
 type DirEntry = (NodeId, u64, u32);
 
 type DirCache = HashMap<(LabelId, LabelId), Arc<Vec<DirEntry>>>;
+
+/// One index entry: a label pair and the offsets of its `D` section,
+/// `E` section and `L` directory.
+type IndexEntry = ((LabelId, LabelId), (u64, u64, u64));
 
 /// A positioned byte source over one sealed v3 store file — the seam
 /// between [`PagedStore`]'s parsing/caching logic and where the bytes
@@ -80,9 +89,11 @@ pub(crate) trait BlockSource: Send + Sync {
     }
 }
 
-/// [`BlockSource`] over a local file.
+/// [`BlockSource`] over a local file. Reads are positional
+/// (`pread`), so concurrent cursors share the handle without a lock or
+/// a seek.
 pub(crate) struct LocalFile {
-    file: Mutex<std::fs::File>,
+    file: std::fs::File,
     len: u64,
 }
 
@@ -90,19 +101,16 @@ impl LocalFile {
     pub(crate) fn open(path: &Path) -> Result<Self, StorageError> {
         let file = std::fs::File::open(path)?;
         let len = file.metadata()?.len();
-        Ok(LocalFile {
-            file: Mutex::new(file),
-            len,
-        })
+        Ok(LocalFile { file, len })
     }
 }
 
 impl BlockSource for LocalFile {
     fn read_at(&self, off: u64, bytes: usize) -> Result<Vec<u8>, StorageError> {
         let mut buf = vec![0u8; bytes];
-        let mut f = self.file.lock().expect("store file lock");
-        f.seek(SeekFrom::Start(off))?;
-        f.read_exact(&mut buf).map_err(|e| map_eof(e, off, bytes))?;
+        self.file
+            .read_exact_at(&mut buf, off)
+            .map_err(|e| map_eof(e, off, bytes))?;
         Ok(buf)
     }
 
@@ -241,7 +249,9 @@ fn map_eof(e: std::io::Error, offset: u64, needed: usize) -> StorageError {
 pub struct PagedStore {
     shared: Arc<PagedShared>,
     labels: Vec<LabelId>,
-    index: HashMap<(LabelId, LabelId), (u64, u64, u64)>,
+    /// The index as written: ascending by label pair, searched by
+    /// binary search.
+    index: Vec<IndexEntry>,
     dirs: Mutex<DirCache>,
     /// The data graph, when attached ([`PagedStore::with_graph`]) —
     /// enables the lazily-built undirected mirror for graph patterns.
@@ -394,7 +404,7 @@ impl PagedStore {
                 needed: idx_bytes + 4,
             });
         }
-        let mut index = HashMap::with_capacity(num_pairs);
+        let mut index = Vec::with_capacity(num_pairs);
         let mut pos = 0;
         for _ in 0..num_pairs {
             let a = LabelId(get_u32(idx_buf, &mut pos)?);
@@ -402,7 +412,14 @@ impl PagedStore {
             let d = get_u64(idx_buf, &mut pos)?;
             let e = get_u64(idx_buf, &mut pos)?;
             let dir = get_u64(idx_buf, &mut pos)?;
-            index.insert((a, b), (d, e, dir));
+            index.push(((a, b), (d, e, dir)));
+        }
+        // Lookups binary-search the index, so it must be strictly
+        // ascending, as the writer emits it.
+        if !index.windows(2).all(|w| w[0].0 < w[1].0) {
+            return Err(StorageError::BadFormat(
+                "v3 index is not strictly ascending by label pair".into(),
+            ));
         }
         Ok(PagedStore {
             shared: Arc::new(PagedShared {
@@ -490,10 +507,8 @@ impl PagedStore {
     /// header and index were already verified at open. Returns the
     /// first mismatch as [`StorageError::Corrupt`].
     pub fn verify(&self) -> Result<(), StorageError> {
-        let mut keys: Vec<_> = self.index.iter().map(|(&k, &v)| (k, v)).collect();
-        keys.sort_unstable_by_key(|&(k, _)| k);
         let bb = self.shared.block_bytes() as u64;
-        for ((a, b), (d_off, e_off, _)) in keys {
+        for &((a, b), (d_off, e_off, _)) in &self.index {
             let count = self.read_count(d_off)?;
             self.read_body(d_off, count, 8)?;
             let count = self.read_count(e_off)?;
@@ -507,6 +522,12 @@ impl PagedStore {
             }
         }
         Ok(())
+    }
+
+    /// The index entry of `(a, b)`: its `D`, `E` and directory offsets.
+    fn offsets(&self, a: LabelId, b: LabelId) -> Option<(u64, u64, u64)> {
+        let i = self.index.binary_search_by_key(&(a, b), |&(k, _)| k).ok()?;
+        Some(self.index[i].1)
     }
 
     /// Reads the 4-byte count at `off`, bounds-validated.
@@ -597,7 +618,7 @@ impl PagedStore {
         if let Some(dir) = self.dirs.lock().expect("dir cache").get(&(a, b)) {
             return Ok(Some(dir.clone()));
         }
-        let Some(&(_, _, dir_off)) = self.index.get(&(a, b)) else {
+        let Some((_, _, dir_off)) = self.offsets(a, b) else {
             return Ok(None);
         };
         let count = self.read_count(dir_off)?;
@@ -668,13 +689,15 @@ impl ClosureSource for PagedStore {
     }
 
     fn pair_keys(&self) -> Vec<(LabelId, LabelId)> {
-        let mut keys: Vec<_> = self.index.keys().copied().collect();
-        keys.sort_unstable();
-        keys
+        self.index.iter().map(|&(k, _)| k).collect()
+    }
+
+    fn contains_pair(&self, a: LabelId, b: LabelId) -> bool {
+        self.offsets(a, b).is_some()
     }
 
     fn load_d(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, Dist)> {
-        let Some(&(d_off, _, _)) = self.index.get(&(a, b)) else {
+        let Some((d_off, _, _)) = self.offsets(a, b) else {
             return Vec::new();
         };
         let inner = || -> Result<Vec<(NodeId, Dist)>, StorageError> {
@@ -697,7 +720,7 @@ impl ClosureSource for PagedStore {
     }
 
     fn load_e(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, NodeId, Dist)> {
-        let Some(&(_, e_off, _)) = self.index.get(&(a, b)) else {
+        let Some((_, e_off, _)) = self.offsets(a, b) else {
             return Vec::new();
         };
         let inner = || -> Result<Vec<(NodeId, NodeId, Dist)>, StorageError> {

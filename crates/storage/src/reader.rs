@@ -460,6 +460,10 @@ impl ClosureSource for FileStore {
         keys
     }
 
+    fn contains_pair(&self, a: LabelId, b: LabelId) -> bool {
+        self.index.contains_key(&(a, b))
+    }
+
     fn load_d(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, Dist)> {
         let Some(&(d_off, _, _)) = self.index.get(&(a, b)) else {
             return Vec::new();

@@ -405,6 +405,10 @@ impl ClosureSource for RemoteStore {
         self.inner.manifest.pair_keys()
     }
 
+    fn contains_pair(&self, a: LabelId, b: LabelId) -> bool {
+        self.inner.manifest.shard_of(a, b).is_some()
+    }
+
     fn load_d(&self, a: LabelId, b: LabelId) -> Vec<(NodeId, Dist)> {
         self.inner.load_d(a, b)
     }

@@ -188,8 +188,16 @@ pub trait ClosureSource: Send + Sync {
     /// The label of a data node.
     fn node_label(&self, v: NodeId) -> LabelId;
 
-    /// All non-empty label pairs `(src label, dst label)`.
+    /// All non-empty label pairs `(src label, dst label)`, ascending.
     fn pair_keys(&self) -> Vec<(LabelId, LabelId)>;
+
+    /// Whether `(a, b)` is one of [`Self::pair_keys`]. The default
+    /// binary-searches that list; backends override it with the index,
+    /// table or manifest lookup they already hold, so a query edge with
+    /// concrete labels costs one lookup instead of a copy of every key.
+    fn contains_pair(&self, a: LabelId, b: LabelId) -> bool {
+        self.pair_keys().binary_search(&(a, b)).is_ok()
+    }
 
     /// `Dᵅᵦ`: per β-labeled destination node, the minimum incoming
     /// distance from any α-labeled node. Ascending node order.

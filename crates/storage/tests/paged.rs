@@ -281,6 +281,35 @@ fn bit_rot_in_every_block_is_surfaced_never_panics() {
 }
 
 #[test]
+fn out_of_order_index_is_rejected_at_open() {
+    // Lookups binary-search the index, so a checksummed index that is
+    // not strictly ascending must fail the open, not misroute lookups.
+    let tables = ClosureTables::compute(&paper_graph());
+    let path = tempfile("unsorted-index");
+    write_store(&tables, &path).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    let foot = bytes.len() - 16;
+    let index_off = u64::from_le_bytes(bytes[foot..foot + 8].try_into().unwrap()) as usize;
+    let count = u32::from_le_bytes(bytes[index_off..index_off + 4].try_into().unwrap()) as usize;
+    assert!(count >= 2);
+    let (first, second) = (index_off + 4, index_off + 4 + 32);
+    let entry: Vec<u8> = bytes[first..second].to_vec();
+    bytes.copy_within(second..second + 32, first);
+    bytes[second..second + 32].copy_from_slice(&entry);
+    let body_end = index_off + 4 + count * 32;
+    let crc = ktpm_storage::crc32(&bytes[index_off..body_end]);
+    bytes[body_end..body_end + 4].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    let res = PagedStore::open(&path);
+    assert!(
+        matches!(res, Err(StorageError::BadFormat(_))),
+        "got {:?}",
+        res.err()
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn truncation_at_every_byte_errors_never_panics() {
     let g = paper_graph();
     let tables = ClosureTables::compute(&g);
