@@ -343,7 +343,7 @@ pub fn run_par(
 }
 
 /// Averages [`run_par`] over a query set (same shape as
-/// [`run_algo_avg`], including the warm-up run).
+/// [`run_algo_avg`], including the warm-up run and the fresh store).
 pub fn run_par_avg(
     ds: &Dataset,
     queries: &[ResolvedQuery],
@@ -351,25 +351,30 @@ pub fn run_par_avg(
     shards: usize,
     pool: &Arc<WorkerPool>,
 ) -> Measurement {
-    run_avg(queries, k, |q, k| run_par(ds, q, k, shards, pool))
+    let policy = ParallelPolicy::with_shards(shards);
+    run_fresh_avg(ds, queries, k, Algo::Par, &policy, pool)
 }
 
-/// Averages `run_algo` over a query set.
+/// Averages [`run_algo`] over a query set.
 pub fn run_algo_avg(ds: &Dataset, queries: &[ResolvedQuery], k: usize, algo: Algo) -> Measurement {
-    run_stream_avg(&ds.store, queries, k, algo)
+    let pool = ktpm_exec::default_pool();
+    run_fresh_avg(ds, queries, k, algo, &ParallelPolicy::default(), &pool)
 }
 
-/// Averages [`run_stream`] over a query set, every run on `store`.
-pub fn run_stream_avg(
-    store: &SharedSource,
+/// Averages [`run_stream`] over a query set, every run of the call on
+/// one [`Dataset::open_fresh`] store: a call is charged with its own
+/// reads, never warmed by (or warming) another call's block cache.
+fn run_fresh_avg(
+    ds: &Dataset,
     queries: &[ResolvedQuery],
     k: usize,
     algo: Algo,
+    policy: &ParallelPolicy,
+    pool: &Arc<WorkerPool>,
 ) -> Measurement {
-    let policy = ParallelPolicy::default();
-    let pool = ktpm_exec::default_pool();
+    let store = ds.open_fresh();
     run_avg(queries, k, |q, k| {
-        run_stream(store, q, k, algo, &policy, &pool)
+        run_stream(&store, q, k, algo, policy, pool)
     })
 }
 
@@ -456,11 +461,21 @@ mod tests {
     #[test]
     fn fresh_stores_charge_each_run_with_its_own_reads() {
         let ds = prepare_dataset("SMOKE", &GraphSpec::citation(400, 123));
-        let q = &queries_for(&ds, 6, 1, true)[0];
+        let queries = queries_for(&ds, 6, 3, true);
+        let q = &queries[0];
         let (policy, pool) = (ParallelPolicy::default(), ktpm_exec::default_pool());
         for algo in [Algo::DpB, Algo::TopkEn] {
             let first = run_stream(&ds.open_fresh(), q, 10, algo, &policy, &pool);
             let second = run_stream(&ds.open_fresh(), q, 10, algo, &policy, &pool);
+            assert!(first.bytes_read > 0, "{algo:?} read nothing");
+            assert_eq!(first.bytes_read, second.bytes_read, "{algo:?}");
+            assert_eq!(first.edges_loaded, second.edges_loaded, "{algo:?}");
+            // The averaging drivers open a fresh store per call too, so
+            // a second call is not served by the first one's cache.
+            // (Within a call, the k=1 warm-up on the first query warms
+            // the cache, so only later queries read from disk.)
+            let first = run_algo_avg(&ds, &queries, 10, algo);
+            let second = run_algo_avg(&ds, &queries, 10, algo);
             assert!(first.bytes_read > 0, "{algo:?} read nothing");
             assert_eq!(first.bytes_read, second.bytes_read, "{algo:?}");
             assert_eq!(first.edges_loaded, second.edges_loaded, "{algo:?}");

@@ -1,31 +1,5 @@
-//! Binary layout of the closure store file.
-//!
-//! ```text
-//! magic "KTPMCLO2"
-//! u32 num_nodes, u32 num_labels
-//! labels: num_nodes * u32
-//! u32 crc32 over [num_nodes .. labels]                  (v2 only)
-//! per pair (in index order):
-//!   D section:    u32 count, count * (u32 node, u32 dist), u32 crc32†
-//!   E section:    u32 count, count * (u32 src, u32 dst, u32 dist), u32 crc32†
-//!   L directory:  u32 group_count, group_count * (u32 dst, u64 abs_off, u32 len), u32 crc32†
-//!   L groups:     per group: len * (u32 src, u32 dist), ascending dist,
-//!                 then u32 crc32 over all of the pair's groups†
-//! index: u32 num_pairs, num_pairs * (u32 a, u32 b, u64 d_off, u64 e_off, u64 dir_off), u32 crc32†
-//! footer: u64 index_offset, magic "KTPMCLO2"
-//! ```
-//!
-//! († = format versions 2 and 3.)
-//!
-//! All integers little-endian. The `L` layout mirrors §4.1: incoming
-//! edges of each node, grouped exclusively per (source label, node),
-//! sorted by distance, addressable without scanning the table.
-//!
-//! ## Version 3: paged group blocks
-//!
-//! Version 3 (magic `KTPMCLO3`, read by [`crate::PagedStore`]) keeps
-//! the v2 header/D/E/directory/index shape but re-lays the `L` group
-//! regions as fixed-size, individually checksummed blocks:
+//! Binary layout of the closure store file (format v3, magic
+//! `KTPMCLO3`), read by [`crate::PagedStore`]:
 //!
 //! ```text
 //! magic "KTPMCLO3"
@@ -33,24 +7,41 @@
 //! labels: num_nodes * u32
 //! u32 crc32 over [num_nodes .. labels]
 //! per pair (in index order):
-//!   D / E / L directory: exactly as v2 (directory offsets point at a
-//!                        group's FIRST block)
+//!   D section:    u32 count, count * (u32 node, u32 dist), u32 crc32
+//!   E section:    u32 count, count * (u32 src, u32 dst, u32 dist), u32 crc32
+//!   L directory:  u32 group_count,
+//!                 group_count * (u32 dst, u64 abs_off, u32 len), u32 crc32
 //!   L blocks:     per group: ceil(len / block_entries) blocks; each
-//!                 block = block_entries * 8 payload bytes (the final
+//!                 block = block_entries * 8 payload bytes of
+//!                 (u32 src, u32 dist) in ascending dist (the final
 //!                 block zero-padded) + u32 crc32 over the full padded
-//!                 payload. Every group starts on a fresh block — no
-//!                 block ever mixes two destination nodes.
-//! index + footer: as v2, with the v3 magic
+//!                 payload. `abs_off` points at a group's FIRST block.
+//! index: u32 num_pairs,
+//!        num_pairs * (u32 a, u32 b, u64 d_off, u64 e_off, u64 dir_off),
+//!        ascending (a, b), u32 crc32
+//! footer: u64 index_offset, magic "KTPMCLO3"
 //! ```
 //!
-//! The per-block CRC closes v2's last verification gap: block cursors
-//! can now verify each fragment as it is fetched without reading the
-//! whole group. Because a block holds entries of exactly one
-//! destination node, any [`crate::ShardSpec`] partition of the root
-//! candidates touches *disjoint* block sets — parallel shards never
-//! contend for (or falsely share) a cached block. The `block_entries`
-//! header field makes files self-describing; writers choose it at
-//! serialization time ([`crate::write_store_v3`]).
+//! All integers little-endian. The `L` layout mirrors §4.1: incoming
+//! edges of each node, grouped exclusively per (source label, node),
+//! sorted by distance, addressable without scanning the table. The
+//! `block_entries` header field makes files self-describing; writers
+//! choose it at serialization time ([`crate::write_store_v3`]).
+//!
+//! ## Checksums
+//!
+//! Every section ends in a CRC-32 (IEEE) of its bytes, count prefix
+//! included. The header and index checksums are verified **eagerly at
+//! open**; each `D`/`E`/directory checksum on the read that first
+//! touches the section; each group block's checksum as the block is
+//! fetched, so block cursors verify every fragment without reading the
+//! whole group. Bit rot therefore surfaces as [`StorageError::Corrupt`]
+//! the moment damaged bytes are read, not merely bounds-checked.
+//!
+//! Because a block holds entries of exactly one destination node, any
+//! [`crate::ShardSpec`] partition of the root candidates touches
+//! *disjoint* block sets — parallel shards never contend for (or
+//! falsely share) a cached block.
 //!
 //! ## Version 4: the sharded-snapshot `MANIFEST`
 //!
@@ -85,36 +76,23 @@
 //! **file id** is its position in the manifest's shard list — the id
 //! the remote `FETCH` protocol and the shared block-cache key use.
 //!
-//! ## Versions and checksums
+//! ## Retired versions
 //!
-//! Version 2 (magic `KTPMCLO2`) appends a CRC-32 (IEEE) to every
-//! section, covering the section's payload bytes (including its count
-//! prefix). The reader verifies the header and index checksums
-//! **eagerly at open**, every `D`/`E`/directory checksum on the read
-//! that first touches the section, and a pair's group-region checksum
-//! on whole-pair loads — so bit rot is detected the moment damaged
-//! bytes are read, as [`StorageError::Corrupt`], not merely
-//! bounds-checked. On v2, block cursors ([`crate::EdgeCursor`]) stream
-//! group fragments and stay bounds-checked only (verifying would force
-//! reading the whole group, defeating lazy loading); v3's per-block
-//! checksums close that gap.
-//!
-//! Version 1 files (magic `KTPMCLO1`, no checksums) still open and
-//! read — verification is simply skipped.
+//! Versions 1 (`KTPMCLO1`, no checksums) and 2 (`KTPMCLO2`, packed
+//! unblocked groups) are no longer read or written. Their magics are
+//! recognised only so that opening such a file fails with a
+//! [`StorageError::BadFormat`] that says to rewrite it
+//! ([`bad_magic`]).
 //!
 //! The `get_*` readers are **fallible**: a buffer too short for the
 //! requested integer yields [`StorageError::Corrupt`] instead of a
 //! panic, so a truncated or bit-rotted snapshot surfaces as an `Err`
-//! from [`crate::FileStore::open`] rather than aborting the process.
+//! rather than aborting the process.
 
 use crate::source::StorageError;
 
-/// Version-2 magic (per-section checksums, packed groups).
-pub const MAGIC: &[u8; 8] = b"KTPMCLO2";
-/// Version-1 magic (no checksums); still readable.
-pub const MAGIC_V1: &[u8; 8] = b"KTPMCLO1";
-/// Version-3 magic (paged, per-block checksummed groups — the default
-/// the writer emits, read by [`crate::PagedStore`]).
+/// Store-file magic (paged, per-block checksummed groups), read by
+/// [`crate::PagedStore`].
 pub const MAGIC_V3: &[u8; 8] = b"KTPMCLO3";
 /// Version-4 magic: the `MANIFEST` of a sharded snapshot (routing +
 /// integrity metadata over a set of v3 shard files; see the module
@@ -122,44 +100,20 @@ pub const MAGIC_V3: &[u8; 8] = b"KTPMCLO3";
 pub const MAGIC_V4: &[u8; 8] = b"KTPMCLO4";
 pub const FOOTER_LEN: u64 = 8 + 8;
 
-/// On-disk format versions the writer can emit and the readers accept.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FormatVersion {
-    /// Magic `KTPMCLO1`: no checksums.
-    V1,
-    /// Magic `KTPMCLO2`: CRC-32 per section, packed group regions.
-    V2,
-    /// Magic `KTPMCLO3`: paged group blocks, CRC-32 per block (the
-    /// default the writer emits).
-    V3,
-}
+/// Magics of the retired v1 and v2 layouts, in version order.
+const RETIRED_MAGICS: [&[u8; 8]; 2] = [b"KTPMCLO1", b"KTPMCLO2"];
 
-impl FormatVersion {
-    /// The magic bytes of this version.
-    pub fn magic(self) -> &'static [u8; 8] {
-        match self {
-            FormatVersion::V1 => MAGIC_V1,
-            FormatVersion::V2 => MAGIC,
-            FormatVersion::V3 => MAGIC_V3,
-        }
-    }
-
-    /// Detects the version from magic bytes.
-    pub fn from_magic(bytes: &[u8]) -> Option<FormatVersion> {
-        if bytes == MAGIC {
-            Some(FormatVersion::V2)
-        } else if bytes == MAGIC_V1 {
-            Some(FormatVersion::V1)
-        } else if bytes == MAGIC_V3 {
-            Some(FormatVersion::V3)
-        } else {
-            None
-        }
-    }
-
-    /// Whether sections carry a trailing CRC-32.
-    pub fn has_crc(self) -> bool {
-        !matches!(self, FormatVersion::V1)
+/// The open error for a file whose first bytes `magic` are not a v3
+/// store's: a retired v1/v2 magic names its version and the rewrite
+/// command, anything else is plain `"bad magic"`.
+pub(crate) fn bad_magic(magic: &[u8]) -> StorageError {
+    match RETIRED_MAGICS.iter().position(|m| m[..] == *magic) {
+        Some(i) => StorageError::BadFormat(format!(
+            "format v{v} store: this build no longer reads v{v} files; \
+             rewrite it from the graph with `ktpm closure`",
+            v = i + 1
+        )),
+        None => StorageError::BadFormat("bad magic".into()),
     }
 }
 
@@ -437,14 +391,19 @@ mod tests {
     }
 
     #[test]
-    fn version_magic_roundtrip() {
-        assert_eq!(FormatVersion::from_magic(MAGIC), Some(FormatVersion::V2));
-        assert_eq!(FormatVersion::from_magic(MAGIC_V1), Some(FormatVersion::V1));
-        assert_eq!(FormatVersion::from_magic(MAGIC_V3), Some(FormatVersion::V3));
-        assert_eq!(FormatVersion::from_magic(b"KTPMXXX9"), None);
-        assert!(FormatVersion::V2.has_crc());
-        assert!(FormatVersion::V3.has_crc());
-        assert!(!FormatVersion::V1.has_crc());
+    fn retired_magics_name_their_version_and_the_rewrite() {
+        for (magic, v) in [(b"KTPMCLO1", 1), (b"KTPMCLO2", 2)] {
+            match bad_magic(magic) {
+                StorageError::BadFormat(m) => {
+                    assert!(m.contains(&format!("v{v}")), "{m}");
+                    assert!(m.contains("ktpm closure"), "{m}");
+                }
+                other => panic!("expected BadFormat, got {other:?}"),
+            }
+        }
+        for magic in [&b"KTPMXXX9"[..], MAGIC_V4, b"KTPMCLO"] {
+            assert!(matches!(bad_magic(magic), StorageError::BadFormat(m) if m == "bad magic"));
+        }
     }
 
     #[test]

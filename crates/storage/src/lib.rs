@@ -5,16 +5,13 @@
 //! node sorted by distance), read back block by block with I/O
 //! accounting.
 //!
-//! Seven interchangeable backends implement [`ClosureSource`]:
+//! Six interchangeable backends implement [`ClosureSource`]:
 //!
-//! * [`PagedStore`] — the current (format v3) disk backend: group
-//!   regions split into fixed-size CRC-verified blocks, fetched lazily
-//!   through a byte-budgeted LRU block cache, so enumeration over a
-//!   closure larger than RAM keeps a bounded resident set
-//!   ([`write_store`] emits v3 by default);
-//! * [`FileStore`] — the v1/v2 single-file reader with positioned
-//!   whole-section block reads; kept for old snapshots (use
-//!   [`open_store_auto`] to dispatch on the file's version);
+//! * [`PagedStore`] — the disk backend over the single on-disk format
+//!   (v3, written by [`write_store`]): group regions split into
+//!   fixed-size CRC-verified blocks, fetched lazily through a
+//!   byte-budgeted LRU block cache, so enumeration over a closure
+//!   larger than RAM keeps a bounded resident set;
 //! * [`MemStore`] — the same logical layout in memory, with the same
 //!   logical I/O counters, for tests and pure-CPU benchmarks;
 //! * [`OnDemandStore`] — no precomputation at all: pair tables are
@@ -45,21 +42,19 @@ mod manifest;
 mod mem;
 mod ondemand;
 mod paged;
-mod reader;
 mod remote;
 mod shard;
 mod sharded;
 mod source;
 mod writer;
 
-pub use format::{crc32, FormatVersion, DEFAULT_BLOCK_EDGES, MAGIC_V4};
+pub use format::{crc32, DEFAULT_BLOCK_EDGES, MAGIC_V4};
 pub use iostats::{IoSnapshot, IoStats};
 pub use live::LiveStore;
 pub use manifest::{Manifest, ShardFileMeta};
 pub use mem::MemStore;
 pub use ondemand::OnDemandStore;
 pub use paged::{open_store_auto, PagedStore, DEFAULT_BLOCK_CACHE_BYTES};
-pub use reader::FileStore;
 pub use remote::{blockproto, open_store_uri, RemoteOptions, RemoteStore};
 pub use shard::ShardSpec;
 pub use sharded::{load_snapshot_manifest, ShardedStore};
@@ -67,4 +62,4 @@ pub use source::{
     merge_sorted_blocks, ClosureSource, DeltaReport, EdgeCursor, SharedSource, SourceRef,
     StorageError,
 };
-pub use writer::{write_store, write_store_sharded, write_store_v3, write_store_versioned};
+pub use writer::{write_store, write_store_sharded, write_store_v3};

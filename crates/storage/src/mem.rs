@@ -1,8 +1,9 @@
 //! The in-memory [`ClosureSource`] used for tests and CPU-only benches.
 //!
-//! Wraps a [`ClosureTables`] and *logically* counts the same I/O a
-//! [`crate::FileStore`] would perform, so algorithm comparisons that
-//! report "edges loaded" work identically on both backends.
+//! Wraps a [`ClosureTables`] and *logically* counts the I/O a disk
+//! store would perform (blocks of `block_edges` `L` entries), so
+//! algorithm comparisons that report "edges loaded" work identically
+//! on in-memory and on-disk backends.
 
 use crate::format::{DEFAULT_BLOCK_EDGES, L_ENTRY_BYTES};
 use crate::iostats::{IoSnapshot, IoStats};

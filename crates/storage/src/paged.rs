@@ -153,9 +153,8 @@ struct PagedShared {
 }
 
 impl PagedShared {
-    /// One positioned read = one counted block fetch (identical
-    /// contract to the v1/v2 reader's), validated against the file
-    /// length before buffers are allocated.
+    /// One positioned read = one counted block fetch, validated
+    /// against the file length before buffers are allocated.
     fn read_vec(&self, off: u64, bytes: usize) -> Result<Vec<u8>, StorageError> {
         if off
             .checked_add(bytes as u64)
@@ -264,10 +263,9 @@ impl PagedStore {
     /// ([`DEFAULT_BLOCK_CACHE_BYTES`]).
     ///
     /// Errors: [`StorageError::BadFormat`] when the file is not a
-    /// closure store or is a v1/v2 store (open those with
-    /// [`crate::FileStore`], or dispatch via
-    /// [`crate::open_store_auto`]); [`StorageError::Corrupt`] when it
-    /// is a v3 store but truncated or damaged (header and index
+    /// closure store, or is a retired v1/v2 store (the message says to
+    /// rewrite it with `ktpm closure`); [`StorageError::Corrupt`] when
+    /// it is a v3 store but truncated or damaged (header and index
     /// checksums are verified eagerly here; group blocks verify on
     /// first fetch).
     pub fn open(path: &Path) -> Result<Self, StorageError> {
@@ -308,10 +306,10 @@ impl PagedStore {
             let is_store_prefix = if head.len() < 8 {
                 head.len() >= 4 && head == MAGIC_V3[..head.len().min(7)]
             } else {
-                FormatVersion::from_magic(&head).is_some()
+                &head[..] == MAGIC_V3
             };
             if !is_store_prefix {
-                return Err(StorageError::BadFormat("bad magic".into()));
+                return Err(bad_magic(&head));
             }
             return Err(StorageError::Corrupt {
                 offset: len,
@@ -320,14 +318,8 @@ impl PagedStore {
         }
         // Header.
         let head = source.read_at(0, HEAD_LEN)?;
-        match FormatVersion::from_magic(&head[..8]) {
-            Some(FormatVersion::V3) => {}
-            Some(_) => {
-                return Err(StorageError::BadFormat(
-                    "format v1/v2 store; open it with FileStore or open_store_auto".into(),
-                ))
-            }
-            None => return Err(StorageError::BadFormat("bad magic".into())),
+        if &head[..8] != MAGIC_V3 {
+            return Err(bad_magic(&head[..8]));
         }
         let mut pos = 8;
         let num_nodes = get_u32(&head, &mut pos)? as usize;
@@ -450,11 +442,6 @@ impl PagedStore {
     /// Wraps the store in a [`crate::SharedSource`] for concurrent use.
     pub fn into_shared(self) -> crate::SharedSource {
         Arc::new(self)
-    }
-
-    /// Always [`FormatVersion::V3`].
-    pub fn version(&self) -> FormatVersion {
-        FormatVersion::V3
     }
 
     /// The on-disk block capacity declared by the header, in `L`
@@ -840,8 +827,8 @@ impl EdgeCursor for PagedCursor {
             Ok(block) => block,
             Err(e) => {
                 // A corrupt or unreadable block degrades to exhaustion,
-                // like the v1/v2 cursor — recorded in the error slot so
-                // the serving layer can refuse the truncated stream.
+                // recorded in the error slot so the serving layer can
+                // refuse the truncated stream.
                 self.shared.errors.record(e);
                 self.pos = self.len;
                 return Vec::new();
@@ -872,16 +859,16 @@ impl EdgeCursor for PagedCursor {
 
 /// Opens a store path of any kind behind the right backend:
 ///
-/// * a v3 file through a [`PagedStore`] (with `block_cache_bytes` as
-///   the cache budget when given — `Some(0)` means unlimited);
-/// * a v1/v2 file through a [`FileStore`](crate::FileStore);
 /// * a sharded snapshot through a [`crate::ShardedStore`] — either the
 ///   `MANIFEST` file itself or the snapshot **directory** containing
 ///   one (a directory without a `MANIFEST` is a pointed
-///   [`StorageError::BadFormat`], not a raw io error).
+///   [`StorageError::BadFormat`], not a raw io error);
+/// * any other file through a [`PagedStore`] (with `block_cache_bytes`
+///   as the cache budget when given — `Some(0)` means unlimited), which
+///   refuses retired v1/v2 files and non-store files with
+///   [`StorageError::BadFormat`].
 ///
-/// This is what the CLI and the bench harness use, so old snapshots
-/// keep working next to v3 and sharded output. For `tcp://` remote
+/// This is what the CLI and the bench harness use. For `tcp://` remote
 /// stores, see [`crate::open_store_uri`].
 pub fn open_store_auto(
     path: &Path,
@@ -902,21 +889,10 @@ pub fn open_store_auto(
         )));
     }
     let mut head = [0u8; 8];
-    let known = {
-        let mut f = std::fs::File::open(path)?;
-        if f.read_exact(&mut head).is_ok() {
-            Some(head)
-        } else {
-            None
-        }
-    };
-    match known {
-        Some(h) if &h == MAGIC_V4 => {
-            Ok(crate::ShardedStore::open_with_cache_bytes(path, budget)?.into_shared())
-        }
-        Some(h) if &h == MAGIC_V3 => {
-            Ok(PagedStore::open_with_cache_bytes(path, budget)?.into_shared())
-        }
-        _ => Ok(crate::FileStore::open(path)?.into_shared()),
+    let is_manifest = std::fs::File::open(path)?.read_exact(&mut head).is_ok() && &head == MAGIC_V4;
+    if is_manifest {
+        Ok(crate::ShardedStore::open_with_cache_bytes(path, budget)?.into_shared())
+    } else {
+        Ok(PagedStore::open_with_cache_bytes(path, budget)?.into_shared())
     }
 }

@@ -174,8 +174,9 @@ impl From<SharedSource> for SourceRef<'static> {
 }
 
 /// The storage interface of §3.1/§4.1: label-pair tables over the
-/// transitive closure. Implemented by [`crate::FileStore`] (real block
-/// I/O) and [`crate::MemStore`].
+/// transitive closure. Implemented by [`crate::PagedStore`] (real block
+/// I/O), [`crate::MemStore`] and the other backends listed in the
+/// crate docs.
 ///
 /// `Send + Sync` is a supertrait: every backend must be safely sharable
 /// across threads (`Arc<dyn ClosureSource>`), which the serving layer
@@ -303,7 +304,6 @@ mod tests {
         assert_send_sync::<crate::MemStore>();
         assert_send_sync::<crate::LiveStore>();
         assert_send_sync::<crate::OnDemandStore>();
-        assert_send_sync::<crate::FileStore>();
         assert_send_sync::<crate::PagedStore>();
         assert_send_sync::<crate::ShardedStore>();
         assert_send_sync::<crate::RemoteStore>();

@@ -5,8 +5,8 @@ use ktpm_closure::ClosureTables;
 use ktpm_graph::fixtures::paper_graph;
 use ktpm_graph::{GraphBuilder, LabeledGraph, NodeId};
 use ktpm_storage::{
-    open_store_auto, write_store, write_store_v3, write_store_versioned, ClosureSource,
-    FormatVersion, MemStore, PagedStore, ShardSpec, StorageError,
+    open_store_auto, open_store_uri, write_store, write_store_sharded, write_store_v3,
+    ClosureSource, MemStore, PagedStore, ShardSpec, StorageError,
 };
 
 fn tempfile(name: &str) -> std::path::PathBuf {
@@ -94,7 +94,6 @@ fn v3_is_the_default_and_roundtrips_against_mem() {
     let path = tempfile("default-roundtrip");
     write_store(&tables, &path).unwrap();
     let paged = PagedStore::open(&path).unwrap();
-    assert_eq!(paged.version(), FormatVersion::V3);
     paged.verify().unwrap();
     let mem = MemStore::new(tables);
     check_equivalent(&mem, &paged);
@@ -117,6 +116,57 @@ fn tiny_blocks_roundtrip_across_block_boundaries() {
         check_equivalent(&mem, &paged);
         std::fs::remove_file(&path).ok();
     }
+}
+
+/// `(length, CRC-32 of the whole file)` of the file at `path`.
+fn fingerprint(path: &std::path::Path) -> (usize, u32) {
+    let bytes = std::fs::read(path).unwrap();
+    (bytes.len(), ktpm_storage::crc32(&bytes))
+}
+
+#[test]
+fn v3_output_bytes_are_pinned() {
+    // The writer's exact output (length, whole-file CRC-32). Existing
+    // v3 files, bench caches and sharded snapshots stay valid only
+    // while these hold: a new value here is a new on-disk format.
+    let paper = ClosureTables::compute(&paper_graph());
+    let path = tempfile("pinned-paper");
+    write_store(&paper, &path).unwrap();
+    assert_eq!(
+        fingerprint(&path),
+        (14648, 0x2210_BF8D),
+        "paper_graph, block 64"
+    );
+    std::fs::remove_file(&path).ok();
+
+    let dense = ClosureTables::compute(&dense_graph(48, 5));
+    let path = tempfile("pinned-dense");
+    write_store_v3(&dense, &path, 2).unwrap();
+    assert_eq!(
+        fingerprint(&path),
+        (33040, 0x5ADB_F646),
+        "dense_graph(48, 5), block 2"
+    );
+    std::fs::remove_file(&path).ok();
+
+    let dir = tempfile("pinned-sharded");
+    std::fs::remove_dir_all(&dir).ok();
+    write_store_sharded(&dense, &dir, &ShardSpec::new(0, 3), 4).unwrap();
+    let files = [
+        "MANIFEST",
+        "shard-0000.tc",
+        "shard-0001.tc",
+        "shard-0002.tc",
+    ];
+    let got: Vec<_> = files.iter().map(|f| fingerprint(&dir.join(f))).collect();
+    let want = [
+        (611, 0x6D9C_0118),
+        (12600, 0x120E_694F),
+        (11380, 0x2CC4_4ACA),
+        (11380, 0xAF52_3139),
+    ];
+    assert_eq!(got, want, "3-shard snapshot, block 4");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -337,46 +387,199 @@ fn truncation_at_every_byte_errors_never_panics() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A paper-graph v3 store's bytes, for the corruption tests. `name`
+/// must be unique per test: tests run concurrently in one process.
+fn store_bytes(name: &str) -> Vec<u8> {
+    let tables = ClosureTables::compute(&paper_graph());
+    let path = tempfile(name);
+    write_store(&tables, &path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    bytes
+}
+
+/// `bytes` with the header and footer magic replaced by `magic`.
+fn with_magic(bytes: &[u8], magic: &[u8; 8]) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    let n = out.len();
+    out[..8].copy_from_slice(magic);
+    out[n - 8..].copy_from_slice(magic);
+    out
+}
+
+/// Asserts `res` is the rewrite refusal for a retired format `v`.
+fn assert_retired<T>(res: Result<T, StorageError>, v: u32) {
+    match res {
+        Err(StorageError::BadFormat(m)) => {
+            assert!(m.contains(&format!("v{v}")), "message names v{v}: {m}");
+            assert!(m.contains("ktpm closure"), "message names the fix: {m}");
+        }
+        Err(e) => panic!("v{v} file must be BadFormat, got {e:?}"),
+        Ok(_) => panic!("v{v} file must be refused"),
+    }
+}
+
 #[test]
 fn paged_store_rejects_v1_and_v2_files() {
-    let tables = ClosureTables::compute(&paper_graph());
-    for version in [FormatVersion::V1, FormatVersion::V2] {
-        let path = tempfile(&format!("reject-{version:?}"));
-        write_store_versioned(&tables, &path, version).unwrap();
-        assert!(
-            matches!(
-                PagedStore::open(&path),
-                Err(StorageError::BadFormat(m)) if m.contains("FileStore")
-            ),
-            "{version:?} must be BadFormat for PagedStore"
-        );
+    // Hand-built: a v3 store's bytes under the retired magics, at full
+    // length and cut down to the bare magic (shorter than any header).
+    let bytes = store_bytes("reject-src");
+    for (magic, v) in [(b"KTPMCLO1", 1), (b"KTPMCLO2", 2)] {
+        let path = tempfile(&format!("reject-v{v}"));
+        for file in [with_magic(&bytes, magic), magic.to_vec()] {
+            std::fs::write(&path, &file).unwrap();
+            assert_retired(PagedStore::open(&path), v);
+        }
         std::fs::remove_file(&path).ok();
     }
+    // Any other magic stays a plain "bad magic".
+    let path = tempfile("reject-other");
+    for file in [with_magic(&bytes, b"KTPMCLO9"), b"NOTASTORE".to_vec()] {
+        std::fs::write(&path, &file).unwrap();
+        assert!(
+            matches!(PagedStore::open(&path), Err(StorageError::BadFormat(m)) if m == "bad magic")
+        );
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn open_store_auto_dispatches_on_version() {
     let g = paper_graph();
     let tables = ClosureTables::compute(&g);
-    for version in [FormatVersion::V1, FormatVersion::V2, FormatVersion::V3] {
-        let path = tempfile(&format!("auto-{version:?}"));
-        write_store_versioned(&tables, &path, version).unwrap();
-        let store = open_store_auto(&path, Some(0)).unwrap();
-        let mem = MemStore::new(tables.clone());
+    let mem = MemStore::new(tables.clone());
+    let check = |store: &dyn ClosureSource, what: &str| {
         assert_eq!(store.num_nodes(), mem.num_nodes());
         for (a, b) in mem.pair_keys() {
             let mut pm = mem.load_pair(a, b);
             let mut ps = store.load_pair(a, b);
             pm.sort_unstable();
             ps.sort_unstable();
-            assert_eq!(pm, ps, "{version:?} {a:?}->{b:?}");
+            assert_eq!(pm, ps, "{what} {a:?}->{b:?}");
         }
-        std::fs::remove_file(&path).ok();
+    };
+    // v3 single file.
+    let path = tempfile("auto-v3");
+    write_store(&tables, &path).unwrap();
+    check(&*open_store_auto(&path, Some(0)).unwrap(), "v3");
+    let bytes = std::fs::read(&path).unwrap();
+    // v4 sharded snapshot, by MANIFEST path and by directory.
+    let dir = tempfile("auto-v4");
+    std::fs::remove_dir_all(&dir).ok();
+    write_store_sharded(&tables, &dir, &ShardSpec::new(0, 2), 4).unwrap();
+    check(
+        &*open_store_auto(&dir.join("MANIFEST"), None).unwrap(),
+        "MANIFEST",
+    );
+    check(&*open_store_auto(&dir, None).unwrap(), "snapshot dir");
+    std::fs::remove_dir_all(&dir).ok();
+    // Retired v1/v2 files are refused through every opener.
+    for (magic, v) in [(b"KTPMCLO1", 1), (b"KTPMCLO2", 2)] {
+        std::fs::write(&path, with_magic(&bytes, magic)).unwrap();
+        assert_retired(open_store_auto(&path, None), v);
+        assert_retired(open_store_uri(path.to_str().unwrap(), None), v);
     }
+    std::fs::remove_file(&path).ok();
     // Garbage is still rejected.
     let path = tempfile("auto-garbage");
     std::fs::write(&path, b"clearly not a store file at all........").unwrap();
-    assert!(open_store_auto(&path, None).is_err());
+    assert!(matches!(
+        open_store_auto(&path, None),
+        Err(StorageError::BadFormat(m)) if m == "bad magic"
+    ));
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn corrupt_index_offset_is_rejected_not_followed() {
+    // Point the footer's index offset past EOF: open must fail with
+    // Corrupt instead of seeking into the void or allocating by a
+    // garbage count.
+    let mut bytes = store_bytes("badindex-src");
+    let n = bytes.len();
+    let path = tempfile("badindex");
+    for off in [n as u64, u64::MAX - 7] {
+        bytes[n - 16..n - 8].copy_from_slice(&off.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let res = PagedStore::open(&path);
+        assert!(
+            matches!(res, Err(StorageError::Corrupt { .. })),
+            "index offset {off}: got {:?}",
+            res.err()
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn huge_d_count_is_corrupt_not_allocated() {
+    // Overwrite the first pair's D count with u32::MAX. Open succeeds
+    // (header and index are intact); the D read is bounds-checked
+    // against the file length before any buffer of that size exists,
+    // so it degrades to empty and the error reaches both `take_error`
+    // and the scrub as Corrupt. Nothing panics.
+    let mut bytes = store_bytes("badcount-src");
+    let foot = bytes.len() - 16;
+    let index_off = u64::from_le_bytes(bytes[foot..foot + 8].try_into().unwrap()) as usize;
+    let first = index_off + 4;
+    let d_off = u64::from_le_bytes(bytes[first + 8..first + 16].try_into().unwrap()) as usize;
+    bytes[d_off..d_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    let path = tempfile("badcount");
+    std::fs::write(&path, &bytes).unwrap();
+    let store = PagedStore::open(&path).unwrap();
+    let keys = store.pair_keys();
+    assert!(store.load_d(keys[0].0, keys[0].1).is_empty());
+    assert!(matches!(
+        store.take_error(),
+        Some(StorageError::Corrupt { .. })
+    ));
+    for &(a, b) in &keys {
+        let _ = store.load_d(a, b);
+        let _ = store.load_e(a, b);
+        let _ = store.load_pair(a, b);
+    }
+    assert!(matches!(store.verify(), Err(StorageError::Corrupt { .. })));
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn bit_rot_in_any_data_byte_is_caught_by_open_or_the_scrub() {
+    // Flip one bit in every 7th byte between the magic and the footer:
+    // either open fails (header/label/index damage) or verify() — the
+    // whole-store scrub — reports Corrupt. Every v3 byte past the
+    // magic is under a checksum, block padding included.
+    let bytes = store_bytes("bitrot-any-src");
+    let path = tempfile("bitrot-any");
+    for pos in (8..bytes.len() - 16).step_by(7) {
+        let mut corrupt = bytes.clone();
+        corrupt[pos] ^= 0x10;
+        std::fs::write(&path, &corrupt).unwrap();
+        if let Ok(store) = PagedStore::open(&path) {
+            assert!(
+                matches!(store.verify(), Err(StorageError::Corrupt { .. })),
+                "bit flip at {pos} must be caught by open or verify"
+            );
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn paged_store_counts_real_io() {
+    let g = paper_graph();
+    let tables = ClosureTables::compute(&g);
+    let path = tempfile("iocount");
+    write_store(&tables, &path).unwrap();
+    let store = PagedStore::open(&path).unwrap();
+    store.reset_io();
+    let a = g.interner().get("a").unwrap();
+    let c = g.interner().get("c").unwrap();
+    let d = store.load_d(a, c);
+    assert!(!d.is_empty());
+    let io = store.io();
+    assert!(io.block_reads >= 1);
+    assert!(io.bytes_read > 0);
+    assert_eq!(io.d_entries, d.len() as u64);
     std::fs::remove_file(&path).ok();
 }
 

@@ -21,17 +21,17 @@
 //! options for `query`:
 //!   -k <n>            number of matches (default 10)
 //!   --store <path>    use a persisted closure store instead of computing.
-//!                     The format version is sniffed: v3 stores are read
+//!                     A store file (written by `ktpm closure`) is read
 //!                     through the paged backend (lazy CRC-verified block
-//!                     fetch behind an LRU block cache), v1/v2 through
-//!                     the whole-section file reader. A sharded snapshot's
-//!                     MANIFEST (or directory) opens the sharded backend —
-//!                     only shard files the query's label pairs touch are
-//!                     opened. `tcp://host:port` connects to `ktpm blockd`
-//!                     and fetches blocks remotely on demand
+//!                     fetch behind an LRU block cache). A sharded
+//!                     snapshot's MANIFEST (or directory) opens the
+//!                     sharded backend — only shard files the query's
+//!                     label pairs touch are opened. `tcp://host:port`
+//!                     connects to `ktpm blockd` and fetches blocks
+//!                     remotely on demand
 //!   --block-cache-bytes <n>
-//!                     byte budget for the v3 block cache (default 8 MiB;
-//!                     0 = unlimited). Ignored for v1/v2 stores
+//!                     byte budget for the block cache (default 8 MiB;
+//!                     0 = unlimited)
 //!   --iostats         print the store's I/O counters after the run:
 //!                     blocks/bytes/edges read, D/E entries, the
 //!                     block-cache hit/miss/eviction/resident-bytes set,
@@ -57,7 +57,7 @@
 //!                       Persisted and on-demand stores are snapshots:
 //!                       the `UPDATE` verb answers ERR update-unsupported
 //!                       on them. The default (compute in memory) serves
-//!                       a live store that accepts updates. Version
+//!                       a live store that accepts updates. Store
 //!                       sniffing and --block-cache-bytes work as in
 //!                       `query`; STATS reports the store's io_* counters
 //!                       including the block-cache set.
@@ -233,10 +233,9 @@ fn file_has_v4_magic(path: &std::path::Path) -> bool {
 /// Picks the storage backend shared by `query` and `serve`. Persisted
 /// stores are opened by sniffing what `--store` names: a `tcp://`
 /// address connects to `ktpm blockd`, a sharded snapshot's MANIFEST
-/// (or directory) opens the sharded backend, and single files dispatch
-/// on their format version — v3 goes through the paged reader (lazy
-/// verified block fetch behind the `--block-cache-bytes` LRU budget;
-/// 0 = unlimited), v1/v2 through the whole-section `FileStore`.
+/// (or directory) opens the sharded backend, and single files go
+/// through the paged reader (lazy verified block fetch behind the
+/// `--block-cache-bytes` LRU budget; 0 = unlimited).
 fn open_store(
     g: &LabeledGraph,
     store_path: &Option<String>,
@@ -655,8 +654,8 @@ fn cmd_blockd(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 /// `ktpm store verify <store>`: re-checks every checksum in a
-/// persisted snapshot — v3 scrubs each section and every group block,
-/// v2 each section, v1 has none to check (reported as such). A sharded
+/// persisted snapshot — a single store file has each section and every
+/// group block scrubbed. A sharded
 /// snapshot (MANIFEST path or directory) checks the manifest CRC, then
 /// every shard file's length and whole-file content hash against it,
 /// then scrubs each shard; the first corrupt file is named in the
@@ -696,37 +695,14 @@ fn cmd_store(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         );
         return Ok(());
     }
-    // Sniff the version by opening both ways: the paged reader rejects
-    // v1/v2 with BadFormat and vice versa, so exactly one succeeds on a
-    // well-formed file of either lineage.
-    match PagedStore::open(path) {
-        Ok(store) => {
-            store.verify().map_err(|e| format!("{store_arg}: {e}"))?;
-            let io = store.io();
-            println!(
-                "{store_arg}: OK (v3 paged, {} blocks / {} bytes scrubbed, {:?})",
-                io.block_reads,
-                io.bytes_read,
-                t.elapsed()
-            );
-        }
-        Err(StorageError::BadFormat(_)) => {
-            let store = FileStore::open(path).map_err(|e| format!("{store_arg}: {e}"))?;
-            store.verify().map_err(|e| format!("{store_arg}: {e}"))?;
-            let io = store.io();
-            let note = match store.version() {
-                FormatVersion::V1 => " — v1 has no checksums; only structure was checked",
-                _ => "",
-            };
-            println!(
-                "{store_arg}: OK ({:?} file store, {} blocks / {} bytes scrubbed, {:?}{note})",
-                store.version(),
-                io.block_reads,
-                io.bytes_read,
-                t.elapsed()
-            );
-        }
-        Err(e) => return Err(format!("{store_arg}: {e}").into()),
-    }
+    let store = PagedStore::open(path).map_err(|e| format!("{store_arg}: {e}"))?;
+    store.verify().map_err(|e| format!("{store_arg}: {e}"))?;
+    let io = store.io();
+    println!(
+        "{store_arg}: OK (v3 paged, {} blocks / {} bytes scrubbed, {:?})",
+        io.block_reads,
+        io.bytes_read,
+        t.elapsed()
+    );
     Ok(())
 }

@@ -59,7 +59,6 @@
 //! | [`runtime`] | run-time graph `G_R` construction |
 //! | [`core`] | **Algorithms 1–3** (`Topk`, `ComputeFirst`, `Topk-EN`) + `ParTopk`, the DP-B / DP-P baselines, the kGPM pattern engine (`KgpmStream`, pattern plans, `decompose`), the [`core::MatchStream`] surface, [`core::Algo`] registry |
 //! | [`api`] | **the facade**: `Executor` / `QueryBuilder` → `Box<dyn MatchStream + Send>` (tree *and* graph-pattern queries) |
-//! | [`baseline`] | compat shim re-exporting `core`'s DP-B / DP-P |
 //! | [`kgpm`] | compat shim over `core`'s kGPM engine: `KgpmContext` batch API, mtree / mtree+ |
 //! | [`workload`] | dataset & query generators for the §6 experiments |
 //! | [`exec`] | shared worker pool scheduling shard jobs and request batches |
@@ -108,7 +107,6 @@
 
 pub mod api;
 
-pub use ktpm_baseline as baseline;
 pub use ktpm_closure as closure;
 pub use ktpm_core as core;
 pub use ktpm_exec as exec;
@@ -148,9 +146,9 @@ pub mod prelude {
     };
     pub use ktpm_storage::{
         open_store_auto, open_store_uri, write_store, write_store_sharded, write_store_v3,
-        write_store_versioned, ClosureSource, DeltaReport, FileStore, FormatVersion, IoSnapshot,
-        LiveStore, Manifest, MemStore, OnDemandStore, PagedStore, RemoteStore, ShardedStore,
-        SharedSource, StorageError, DEFAULT_BLOCK_CACHE_BYTES, DEFAULT_BLOCK_EDGES,
+        ClosureSource, DeltaReport, IoSnapshot, LiveStore, Manifest, MemStore, OnDemandStore,
+        PagedStore, RemoteStore, ShardedStore, SharedSource, StorageError,
+        DEFAULT_BLOCK_CACHE_BYTES, DEFAULT_BLOCK_EDGES,
     };
     pub use ktpm_workload::{generate, query_set, random_tree_query, GraphSpec, QuerySpec};
 }

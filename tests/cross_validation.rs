@@ -247,31 +247,6 @@ fn cyclic_dense_graphs() {
 }
 
 #[test]
-fn file_store_end_to_end_agrees_with_memory() {
-    let mut rng = StdRng::seed_from_u64(6000);
-    let g = random_graph(&mut rng, 30, 5, 3);
-    let q = TreeQuery::parse("L0 -> L1\nL0 -> L2\nL2 -> L3").unwrap();
-    let resolved = q.resolve(g.interner());
-    let tables = ClosureTables::compute(&g);
-    let mut path = std::env::temp_dir();
-    path.push(format!("ktpm-xval-{}.bin", std::process::id()));
-    // Explicit v2: FileStore is the v1/v2 reader (v3 is PagedStore's).
-    write_store_versioned(&tables, &path, FormatVersion::V2).unwrap();
-    let file = FileStore::open_with_block_edges(&path, 3).unwrap();
-    let mem = MemStore::with_block_edges(tables, 3);
-    let from_mem: Vec<Score> = TopkEnEnumerator::new(&resolved, &mem)
-        .take(20)
-        .map(|m| m.score)
-        .collect();
-    let from_file: Vec<Score> = TopkEnEnumerator::new(&resolved, &file)
-        .take(20)
-        .map(|m| m.score)
-        .collect();
-    assert_eq!(from_mem, from_file);
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
 fn paged_store_end_to_end_agrees_with_memory_under_a_tight_cache() {
     // The v3 paged tier with a cache budget far below the closure size:
     // every algorithm must still stream the exact MemStore results while
