@@ -5,7 +5,7 @@
 //! materializing an O(n²) closure: keep only "hot" closure lists and
 //! answer the rest of the `δ_min` queries from a small in-memory index.
 //! This module implements the directed, weighted variant of pruned
-//! landmark labeling; `ktpm-kgpm` can use it to verify non-tree edges,
+//! landmark labeling; the kGPM engine can use it to verify non-tree edges,
 //! and the ablation bench compares it against full closure lookups.
 //!
 //! Semantics note: internally the index uses standard (empty-path-allowed)

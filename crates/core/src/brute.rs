@@ -1,12 +1,14 @@
 //! Exhaustive reference enumeration — the test oracle.
 //!
 //! Enumerates *every* tree pattern match of a query by cartesian product
-//! over the run-time graph, sorted by score. Exponential; only for small
-//! inputs inside tests and cross-algorithm validation.
+//! over the run-time graph, sorted by score — and likewise every graph
+//! pattern match over the undirected closure. Exponential; only for
+//! small inputs inside tests and cross-algorithm validation.
 
 use crate::matches::ScoredMatch;
-use ktpm_graph::Score;
-use ktpm_query::QNodeId;
+use ktpm_closure::ClosureTables;
+use ktpm_graph::{undirect, LabeledGraph, NodeId, Score};
+use ktpm_query::{GraphQuery, QNodeId};
 use ktpm_runtime::RuntimeGraph;
 
 /// All matches of the query, sorted by `(score, assignment)`.
@@ -41,6 +43,51 @@ pub fn topk_scores(rg: &RuntimeGraph, k: usize) -> Vec<Score> {
         .take(k)
         .map(|m| m.score)
         .collect()
+}
+
+/// Every kGPM match of the graph pattern `q` over `g` (§5 semantics:
+/// each pattern edge maps to a shortest path of the undirected graph),
+/// sorted by `(score, assignment)`. Scores every label-consistent
+/// assignment whose pattern edges all have finite undirected distances.
+pub fn all_pattern_matches(g: &LabeledGraph, q: &GraphQuery) -> Vec<(Score, Vec<NodeId>)> {
+    let ug = undirect(g);
+    let tc = ClosureTables::compute(&ug);
+    let candidates: Vec<&[NodeId]> = (0..q.len())
+        .map(|u| {
+            ug.interner()
+                .get(q.label(u))
+                .map_or(&[][..], |l| ug.nodes_with_label(l))
+        })
+        .collect();
+    let mut out = Vec::new();
+    if candidates.iter().any(|c| c.is_empty()) {
+        return out;
+    }
+    let mut pick = vec![0usize; q.len()];
+    'outer: loop {
+        let assignment: Vec<NodeId> = pick
+            .iter()
+            .enumerate()
+            .map(|(u, &i)| candidates[u][i])
+            .collect();
+        let score = q.edges().iter().try_fold(0 as Score, |total, &(a, b)| {
+            Some(total + tc.dist(assignment[a], assignment[b])? as Score)
+        });
+        if let Some(score) = score {
+            out.push((score, assignment));
+        }
+        // Advance the odometer.
+        for u in 0..q.len() {
+            pick[u] += 1;
+            if pick[u] < candidates[u].len() {
+                continue 'outer;
+            }
+            pick[u] = 0;
+        }
+        break;
+    }
+    out.sort();
+    out
 }
 
 fn extend(

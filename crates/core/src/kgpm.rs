@@ -187,10 +187,11 @@ impl MatchStream for KgpmStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::brute::all_pattern_matches;
     use crate::{build_stream, limit, Algo};
     use ktpm_closure::ClosureTables;
     use ktpm_graph::fixtures::{citation_graph, paper_graph};
-    use ktpm_graph::{undirect, LabeledGraph};
+    use ktpm_graph::LabeledGraph;
     use ktpm_query::GraphQuery;
     use ktpm_storage::MemStore;
 
@@ -206,52 +207,6 @@ mod tests {
 
     fn pattern_plan(g: &LabeledGraph, q: GraphQuery) -> QueryPlan {
         QueryPlan::new_pattern(q, g.interner(), &shared_for(g)).unwrap()
-    }
-
-    /// Brute-force kGPM oracle over the undirected closure.
-    fn oracle(g: &LabeledGraph, q: &GraphQuery) -> Vec<(Score, Vec<NodeId>)> {
-        let ug = undirect(g);
-        let tc = ClosureTables::compute(&ug);
-        let mut candidates: Vec<Vec<NodeId>> = Vec::new();
-        for u in 0..q.len() {
-            let Some(l) = ug.interner().get(q.label(u)) else {
-                return Vec::new();
-            };
-            candidates.push(ug.nodes_with_label(l).to_vec());
-        }
-        let mut out = Vec::new();
-        let mut pick = vec![0usize; q.len()];
-        'outer: loop {
-            let assignment: Vec<NodeId> = pick
-                .iter()
-                .enumerate()
-                .map(|(u, &i)| candidates[u][i])
-                .collect();
-            let mut total: Score = 0;
-            let mut ok = true;
-            for &(a, b) in q.edges() {
-                match tc.dist(assignment[a], assignment[b]) {
-                    Some(d) => total += d as Score,
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
-                out.push((total, assignment));
-            }
-            for u in 0..q.len() {
-                pick[u] += 1;
-                if pick[u] < candidates[u].len() {
-                    continue 'outer;
-                }
-                pick[u] = 0;
-            }
-            break;
-        }
-        out.sort();
-        out
     }
 
     fn collect(plan: &QueryPlan, policy: &ParallelPolicy) -> Vec<(Score, Vec<NodeId>)> {
@@ -279,7 +234,7 @@ mod tests {
             GraphQuery::new(labels(&["a"]), vec![]).unwrap(),
         ];
         for q in queries {
-            let want = oracle(&g, &q);
+            let want = all_pattern_matches(&g, &q);
             for engine in [ShardEngine::Full, ShardEngine::Lazy] {
                 let plan = pattern_plan(&g, q.clone());
                 let policy = ParallelPolicy {
@@ -320,7 +275,7 @@ mod tests {
             ktpm_exec::default_pool(),
         )
         .collect();
-        let want = oracle(&g, &q);
+        let want = all_pattern_matches(&g, &q);
         let got: Vec<_> = full
             .iter()
             .map(|m| (m.score, m.assignment.to_vec()))

@@ -1,10 +1,9 @@
 //! # ktpm-exec
 //!
-//! A fixed-size worker pool for query execution, shared by every layer
-//! that schedules CPU-bound jobs: the service engine runs request
-//! batches on one, and the parallel partitioned enumerator (`ParTopk`
-//! in `ktpm-core`) scatters per-shard jobs on another — both from the
-//! batch CLI and from `ktpm serve`.
+//! A fixed-size worker pool for CPU-bound jobs: the parallel
+//! partitioned enumerator (`ParTopk` in `ktpm-core`) scatters per-shard
+//! jobs on one — from the batch CLI, the bench drivers, and the service
+//! engine's shard pool under `ktpm serve`.
 //!
 //! Deliberately minimal (std-only, no external executor): one shared
 //! MPMC-by-mutex job queue drained by N threads. Jobs are short and
@@ -14,9 +13,9 @@
 //!
 //! Jobs must run to completion without blocking on other jobs of the
 //! same pool — that discipline is what makes it safe for a request
-//! worker (on the service's request pool) to block in
-//! [`WorkerPool::scatter`] on a *different* pool: shard jobs never
-//! wait on anything, so there is no circular wait.
+//! thread (a net worker) to block in [`WorkerPool::scatter`] on the
+//! shard pool: shard jobs never wait on anything, so there is no
+//! circular wait.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, OnceLock};

@@ -1,17 +1,14 @@
 //! # ktpm-net
 //!
-//! The event-driven serving tier: a readiness-loop TCP front end for a
-//! [`ktpm_service::ServiceHandle`] that replaces thread-per-connection
-//! with a small fixed thread set.
+//! The serving tier: the one TCP front end for a
+//! [`ktpm_service::ServiceHandle`], a readiness loop on a small fixed
+//! thread set.
 //!
 //! The paper's enumeration model already decouples *sessions* from
 //! *connections*: a parked session is a `Box<dyn MatchStream>` in the
-//! engine's session table, costing memory but no thread. The legacy
-//! [`ktpm_service::Server`] squanders that — every connected client
-//! pins an OS thread even while idle between `NEXT` calls, so
-//! thousands of open-but-quiet dashboards exhaust threads long before
-//! they exhaust sessions. This crate finishes the decoupling on the
-//! transport side:
+//! engine's session table, costing memory but no thread. This crate
+//! finishes the decoupling on the transport side, so thousands of
+//! open-but-quiet clients cost sockets, not threads:
 //!
 //! * **One reactor thread** owns every socket. The listener and all
 //!   connections are non-blocking; the reactor sweeps them in a
@@ -20,15 +17,17 @@
 //!   async runtime, no OS-specific poller — plain `std::net`
 //!   non-blocking I/O, in keeping with the workspace's no-external-deps
 //!   rule.
-//! * **A fixed executor pool** ([`NetConfig::workers`]) runs requests.
-//!   A connection is handed to at most one worker at a time, which
-//!   drains its queued requests in order — that exclusivity is the
-//!   whole pipelining-order guarantee.
+//! * **A fixed executor set**
+//!   ([`ktpm_service::ServiceConfig::workers`] threads) runs requests;
+//!   each request runs to completion on its worker, with no second
+//!   hand-off. A connection is handed to at most one worker at a time,
+//!   which drains its queued requests in order — that exclusivity is
+//!   the whole pipelining-order guarantee. A request that panics
+//!   answers `ERR internal` and the worker keeps serving.
 //! * **Pipelining**: request parsing is incremental, so a client can
 //!   write `OPEN` + several `NEXT` lines back-to-back and read the
-//!   responses — complete, in request order, byte-identical to the
-//!   legacy front end (both render via [`ktpm_service::respond`]) —
-//!   without a round-trip between them.
+//!   responses — complete, in request order, rendered by
+//!   [`ktpm_service::respond`] — without a round-trip between them.
 //! * **Explicit backpressure**: each connection has a bounded request
 //!   queue ([`NetConfig::max_pipeline`]) and write buffer
 //!   ([`NetConfig::max_write_buffer`]). Requests beyond either bound
@@ -63,10 +62,10 @@ pub use reactor::EventServer;
 
 use std::time::Duration;
 
-/// Tuning knobs for the event-loop front end. Engine-shared behavior
-/// (idle timeout, sweep interval, session TTL) lives in
-/// [`ktpm_service::ServiceConfig`] instead — both front ends read it
-/// from the handle.
+/// Tuning knobs for the front end's per-connection bounds. Engine-wide
+/// behavior (executor width, idle timeout, sweep interval, session
+/// TTL) lives in [`ktpm_service::ServiceConfig`] instead; the server
+/// reads it from the handle.
 ///
 /// `#[non_exhaustive]`: construct via [`NetConfig::default`] (or
 /// [`NetConfig::new`]) and refine with the builder-style `with_*`
@@ -74,10 +73,6 @@ use std::time::Duration;
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct NetConfig {
-    /// Executor worker threads running requests. This bounds engine
-    /// concurrency from this front end regardless of connection count —
-    /// the point of the event loop.
-    pub workers: usize,
     /// Per-connection bound on queued (pipelined) engine requests;
     /// requests past it are shed with `ERR overloaded`.
     pub max_pipeline: usize,
@@ -97,7 +92,6 @@ pub struct NetConfig {
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
-            workers: std::thread::available_parallelism().map_or(4, |n| n.get().clamp(2, 8)),
             max_pipeline: 64,
             max_write_buffer: 256 * 1024,
             poll_interval: Duration::from_micros(500),
@@ -111,12 +105,6 @@ impl NetConfig {
     /// reads better at the head of a builder chain).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets [`NetConfig::workers`].
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
     }
 
     /// Sets [`NetConfig::max_pipeline`].

@@ -69,13 +69,11 @@ struct Connection {
 /// fixed worker set executes requests, and a janitor drives session-TTL
 /// eviction. Dropping it stops all three.
 ///
-/// Compared to [`ktpm_service::Server`] (thread-per-connection, strict
-/// request/response turns), parked sessions here hold **no thread**,
-/// clients may pipeline requests (responses stream back in request
-/// order), and overload is explicit: bounded per-connection request
-/// queues and write buffers shed with `ERR overloaded`, counted in
-/// `shed_total`. Responses are byte-identical to the legacy server —
-/// both render through [`ktpm_service::respond`].
+/// Parked sessions and idle connections hold **no thread**, clients
+/// may pipeline requests (responses stream back in request order), and
+/// overload is explicit: bounded per-connection request queues and
+/// write buffers shed with `ERR overloaded`, counted in `shed_total`.
+/// Every reply renders through [`ktpm_service::respond`].
 pub struct EventServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -87,10 +85,10 @@ pub struct EventServer {
 
 impl EventServer {
     /// Binds `addr` (port 0 for ephemeral) and serves `handle` on the
-    /// reactor + `config.workers` executor threads. Idle-connection and
-    /// session-sweep behavior come from the engine's
-    /// [`ktpm_service::ServiceConfig`] (`idle_timeout`,
-    /// `sweep_interval`).
+    /// reactor plus one executor thread per
+    /// [`ktpm_service::ServiceConfig::workers`]. Idle-connection and
+    /// session-sweep behavior come from the same config
+    /// (`idle_timeout`, `sweep_interval`).
     pub fn spawn(
         handle: ServiceHandle,
         addr: impl ToSocketAddrs,
@@ -102,7 +100,7 @@ impl EventServer {
         let stop = Arc::new(AtomicBool::new(false));
         let queue = Arc::new(ExecQueue::default());
 
-        let workers = (0..config.workers.max(1))
+        let workers = (0..handle.config().workers.max(1))
             .map(|i| {
                 let queue = Arc::clone(&queue);
                 let handle = handle.clone();
@@ -368,9 +366,11 @@ fn parse_available(
 }
 
 /// Executor worker: takes a connection off the queue and drains its
-/// pending requests in order, appending each response to the write
-/// buffer. `in_flight` exclusivity is what makes pipelined responses
-/// come back in request order.
+/// pending requests in order, running each one right here and
+/// appending its response to the write buffer. `in_flight` exclusivity
+/// is what makes pipelined responses come back in request order;
+/// [`respond`] turns a panic into `ERR internal`, so the loop always
+/// reaches the `in_flight = false` hand-back.
 fn worker_loop(queue: &ExecQueue, handle: &ServiceHandle, stop: &AtomicBool) {
     while let Some(conn) = queue.pop(stop) {
         loop {

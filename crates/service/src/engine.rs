@@ -1,9 +1,11 @@
-//! The query engine: shared store + session table + result cache +
-//! worker pool, behind a cloneable [`ServiceHandle`].
+//! The query engine: shared store + session table + result and plan
+//! caches, behind a cloneable [`ServiceHandle`]. Requests run on the
+//! calling thread; only `par` shard jobs hop to the engine's shard
+//! pool.
 
 use crate::cache::{CacheKey, PlanCache, ResultCache};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
-use crate::session::{Session, SessionId, SessionTable};
+use crate::session::{Session, SessionId, SessionSlot, SessionTable};
 use crate::{InvalidationPolicy, ServiceConfig};
 use ktpm_core::{pattern_reads_touched_pairs, query_reads_touched_pairs, QueryPlan, ScoredMatch};
 use ktpm_exec::WorkerPool;
@@ -78,6 +80,9 @@ pub enum ServiceError {
         /// Human-readable failure detail, from the storage error.
         detail: String,
     },
+    /// The request panicked inside the engine. The reply carries the
+    /// panic message; a panicking `NEXT` also dropped its session.
+    Internal(String),
 }
 
 impl ServiceError {
@@ -96,6 +101,7 @@ impl ServiceError {
             ServiceError::Update(StorageError::DeltaRejected(_)) => "update-rejected",
             ServiceError::Update(_) => "update-failed",
             ServiceError::StorageFailed { code, .. } => code,
+            ServiceError::Internal(_) => "internal",
         }
     }
 
@@ -140,6 +146,7 @@ impl fmt::Display for ServiceError {
             ServiceError::StorageFailed { detail, .. } => {
                 write!(f, "{detail}; re-OPEN once the store recovers")
             }
+            ServiceError::Internal(m) => write!(f, "request panicked: {m}"),
         }
     }
 }
@@ -180,7 +187,7 @@ pub struct EngineStats {
     /// The plan cache's byte budget
     /// ([`ServiceConfig::plan_cache_max_bytes`]); 0 = unlimited.
     pub plan_bytes_limit: u64,
-    /// Worker pool width.
+    /// Request executor width ([`ServiceConfig::workers`]).
     pub workers: usize,
     /// Current graph version of the store (0 forever on immutable
     /// snapshot backends; bumped once per applied delta on live ones).
@@ -234,11 +241,11 @@ pub struct QueryEngine {
     /// setup and performs zero candidate-discovery work.
     plans: Mutex<PlanCache>,
     metrics: ServiceMetrics,
-    pool: WorkerPool,
-    /// Separate pool for `ParTopk` shard jobs. Request jobs (on `pool`)
-    /// block waiting for shard jobs; shard jobs never block — keeping
-    /// the two on distinct pools rules out circular waits no matter how
-    /// many parallel sessions pile in.
+    /// The pool for `ParTopk` shard jobs. A request runs on its caller's
+    /// thread (a net worker, or an embedder's own), which blocks until
+    /// its shard jobs finish; shard jobs never block. No thread waits
+    /// on a thread that waits on it, so there is no circular wait no
+    /// matter how many parallel sessions pile in.
     shard_pool: Arc<WorkerPool>,
     next_id: AtomicU64,
     config: ServiceConfig,
@@ -273,12 +280,61 @@ impl QueryEngine {
                     config.plan_cache_max_bytes,
                 )),
                 metrics: ServiceMetrics::default(),
-                pool: WorkerPool::new(config.workers),
                 shard_pool: Arc::new(WorkerPool::new(config.parallel.shards)),
                 next_id: AtomicU64::new(1),
                 config,
             }),
         }
+    }
+
+    /// One `NEXT` on a session the caller already looked up.
+    fn advance(
+        &self,
+        id: SessionId,
+        slot: &SessionSlot,
+        n: usize,
+    ) -> Result<NextBatch, ServiceError> {
+        let mut session = slot.session.lock().expect("session lock");
+        // Fenced sessions refuse to advance: their parked stream
+        // describes the pre-delta graph. The session stays in the
+        // table (CLOSE still works) but every NEXT is an error.
+        if let Some(store_version) = session.fenced_at() {
+            return Err(ServiceError::StaleVersion {
+                session: id,
+                plan_version: session.plan_version(),
+                store_version,
+            });
+        }
+        // Poisoned sessions repeat their storage failure: the
+        // stream already silently lost matches when the store
+        // degraded, so extending it would compound the lie.
+        if let Some((code, detail)) = session.failure() {
+            return Err(ServiceError::StorageFailed {
+                code,
+                detail: detail.to_string(),
+            });
+        }
+        let adv = session.advance(n);
+        // The infallible read API degrades to empty results on
+        // storage failures and parks the first error in the store;
+        // recover it *before* publishing anything — a batch (or
+        // prefix) produced over a degraded store may be missing
+        // matches and must reach neither the client nor the cache.
+        if let Some(err) = self.source.take_error() {
+            let failure = ServiceError::storage_failed(&err);
+            if let ServiceError::StorageFailed { code, detail } = &failure {
+                session.poison(code, detail.clone());
+            }
+            return Err(failure);
+        }
+        if let Some(prefix) = adv.publish {
+            let key = session.cache_key();
+            self.cache.lock().expect("cache lock").insert(key, prefix);
+        }
+        Ok(NextBatch {
+            matches: adv.matches,
+            exhausted: adv.exhausted,
+        })
     }
 }
 
@@ -376,9 +432,10 @@ impl ServiceHandle {
     }
 
     /// Produces the next `n` matches of a session, resuming exactly
-    /// where the previous batch stopped. Executed on the worker pool;
-    /// concurrent calls on the *same* session serialize, different
-    /// sessions run in parallel up to the pool width.
+    /// where the previous batch stopped. Runs on the calling thread;
+    /// concurrent calls on the *same* session serialize on its lock,
+    /// different sessions run in parallel up to the caller's own
+    /// thread count.
     pub fn next(&self, id: SessionId, n: usize) -> Result<NextBatch, ServiceError> {
         let e = &self.engine;
         let Some(slot) = e.sessions.get(id) else {
@@ -386,50 +443,7 @@ impl ServiceHandle {
             return Err(ServiceError::UnknownSession(id));
         };
         e.metrics.next_call();
-        let engine = Arc::clone(e);
-        let batch = e.pool.run(move || {
-            let mut session = slot.session.lock().expect("session lock");
-            // Fenced sessions refuse to advance: their parked stream
-            // describes the pre-delta graph. The session stays in the
-            // table (CLOSE still works) but every NEXT is an error.
-            if let Some(store_version) = session.fenced_at() {
-                return Err(ServiceError::StaleVersion {
-                    session: id,
-                    plan_version: session.plan_version(),
-                    store_version,
-                });
-            }
-            // Poisoned sessions repeat their storage failure: the
-            // stream already silently lost matches when the store
-            // degraded, so extending it would compound the lie.
-            if let Some((code, detail)) = session.failure() {
-                return Err(ServiceError::StorageFailed {
-                    code,
-                    detail: detail.to_string(),
-                });
-            }
-            let adv = session.advance(n);
-            // The infallible read API degrades to empty results on
-            // storage failures and parks the first error in the store;
-            // recover it *before* publishing anything — a batch (or
-            // prefix) produced over a degraded store may be missing
-            // matches and must reach neither the client nor the cache.
-            if let Some(err) = engine.source.take_error() {
-                let failure = ServiceError::storage_failed(&err);
-                if let ServiceError::StorageFailed { code, detail } = &failure {
-                    session.poison(code, detail.clone());
-                }
-                return Err(failure);
-            }
-            if let Some(prefix) = adv.publish {
-                let key = session.cache_key();
-                engine.cache.lock().expect("cache lock").insert(key, prefix);
-            }
-            Ok(NextBatch {
-                matches: adv.matches,
-                exhausted: adv.exhausted,
-            })
-        });
+        let batch = e.advance(id, &slot, n);
         let batch = batch.inspect_err(|_| e.metrics.error())?;
         e.metrics.matches_served(batch.matches.len() as u64);
         Ok(batch)
@@ -451,6 +465,13 @@ impl ServiceHandle {
         }
         e.metrics.session_closed();
         Ok(())
+    }
+
+    /// Drops a session whose request panicked partway through an
+    /// advance. Its stream state is unknown, so nothing it buffered is
+    /// published to the result cache.
+    pub(crate) fn discard(&self, id: SessionId) {
+        self.engine.sessions.remove(id);
     }
 
     /// One-shot convenience: open + next(k) + close.
@@ -700,7 +721,7 @@ impl ServiceHandle {
             plan_bytes,
             plan_largest_bytes,
             plan_bytes_limit: e.config.plan_cache_max_bytes.unwrap_or(0),
-            workers: e.pool.width(),
+            workers: e.config.workers,
             graph_version: e.source.graph_version(),
             io: e.source.io(),
             metrics: e.metrics.snapshot(),

@@ -10,9 +10,9 @@
 //!
 //! * [`QueryEngine`] / [`ServiceHandle`] — the in-process API. The
 //!   engine owns a shared thread-safe closure store
-//!   (`Arc<dyn ClosureSource>`), a session table, a result cache, and a
-//!   worker pool; the handle is a cheap clone shared across client
-//!   threads.
+//!   (`Arc<dyn ClosureSource>`), a session table, and the result and
+//!   plan caches; the handle is a cheap clone shared across client
+//!   threads, and each request runs on the thread that calls it.
 //! * **Sessions** ([`SessionId`]) — a client opens a session for a
 //!   `(query, algorithm)` pair and repeatedly asks for "next n"
 //!   matches. The session parks a live `Box<dyn MatchStream + Send>`
@@ -45,9 +45,10 @@
 //!   invalidates live sessions. Known-hot queries can be pre-built
 //!   before traffic arrives with [`ServiceHandle::warm_plans`]
 //!   (`ktpm serve --warm <file>`).
-//! * **Wire protocol** ([`protocol`]) + [`Server`] — a line-based TCP
-//!   front end (`OPEN` / `NEXT` / `CLOSE` / `STATS`) used by
-//!   `ktpm serve`.
+//! * **Wire protocol** ([`protocol`]) + [`respond`] — the line-based
+//!   protocol (`OPEN` / `NEXT` / `CLOSE` / `STATS` / `UPDATE`) and the
+//!   one function that answers a request line. `ktpm serve` puts it on
+//!   TCP through `ktpm_net::EventServer`.
 //! * **Parallel execution** — `Algo::Par` sessions run `ParTopk`
 //!   (root-partitioned shards, lazily re-merged) on a dedicated shard
 //!   pool, per the engine-wide [`ktpm_core::ParallelPolicy`] in
@@ -91,11 +92,9 @@ pub use engine::{
 // embedders that imported it from the service crate.
 pub use ktpm_exec::WorkerPool;
 pub use metrics::{MetricsSnapshot, ServiceMetrics};
-// `respond` and `serve_connection` are public so alternative front ends
-// (the `ktpm-net` event loop) render through the exact same path as the
-// in-crate thread-per-connection server — byte-identical responses are
-// a protocol guarantee, not a coincidence.
-pub use server::{respond, serve_connection, Server};
+// `respond` is public so the `ktpm-net` front end and embedders render
+// every reply through the one dispatch path.
+pub use server::respond;
 pub use session::{SessionId, SessionTable};
 
 use std::time::Duration;
@@ -127,7 +126,9 @@ pub enum InvalidationPolicy {
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct ServiceConfig {
-    /// Worker threads executing `next` batches.
+    /// Executor threads the TCP front end (`ktpm_net::EventServer`)
+    /// runs requests on; `STATS` reports it as `workers=`. The engine
+    /// itself runs each request on its caller's thread.
     pub workers: usize,
     /// Idle sessions older than this are evicted.
     pub session_ttl: Duration,
@@ -137,11 +138,8 @@ pub struct ServiceConfig {
     /// exposes it as `--sweep-interval-ms`.
     pub sweep_interval: Duration,
     /// Connections with no client request for this long are closed by
-    /// the front ends (the legacy thread-per-connection path sets it as
-    /// a socket read timeout; the event loop tracks it per connection).
-    /// `None` disables the timeout — an idle client then pins a thread
-    /// forever on the legacy path, which is exactly the failure mode
-    /// the default guards against.
+    /// the front end, which tracks it per connection. `None` disables
+    /// the timeout; an idle client then holds its socket forever.
     pub idle_timeout: Option<Duration>,
     /// Maximum number of concurrently open sessions (`open` fails
     /// beyond it after TTL eviction has been attempted).
@@ -161,8 +159,8 @@ pub struct ServiceConfig {
     /// `STATS` as `plan_cache_bytes_limit` (0 = off).
     pub plan_cache_max_bytes: Option<u64>,
     /// Shard policy for [`Algo::Par`] sessions; also sizes the engine's
-    /// dedicated shard-job pool (kept separate from the request pool so
-    /// blocked requests can never starve their own shard jobs).
+    /// dedicated shard-job pool (separate from the request threads, so
+    /// a request blocked on its shard jobs never starves them).
     pub parallel: ktpm_core::ParallelPolicy,
     /// How graph deltas invalidate cached plans, result prefixes and
     /// live sessions.

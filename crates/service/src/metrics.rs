@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Monotonic counters describing engine activity since start, plus the
 /// serving-tier gauges (`connections_active` is the only non-monotonic
-/// field: the front ends increment it on accept and decrement it on
+/// field: the front end increments it on accept and decrements it on
 /// connection close).
 #[derive(Debug, Default)]
 pub struct ServiceMetrics {
@@ -48,18 +48,16 @@ pub struct MetricsSnapshot {
     pub plan_hits: u64,
     /// Sessions whose open registered a fresh query plan.
     pub plan_misses: u64,
-    /// Requests that failed (bad query, unknown session, ...).
+    /// Requests that failed (bad query, unknown session, a panic, ...).
     pub errors: u64,
-    /// Client connections currently held by a front end (legacy
-    /// thread-per-connection or the `ktpm-net` event loop).
+    /// Client connections currently held by the front end.
     pub connections_active: u64,
     /// High-water mark of any connection's pending-request queue (the
-    /// pipelining depth clients actually reached; only the event-loop
-    /// front end queues, so the legacy path leaves this at 0).
+    /// pipelining depth clients actually reached; 0 when nothing went
+    /// through the front end).
     pub queue_depth_max: u64,
     /// Requests refused with `ERR overloaded`: pipeline queue or write
-    /// buffer full, or a connection dropped because the front end could
-    /// not spawn a handler thread.
+    /// buffer full.
     pub shed_total: u64,
     /// Graph deltas successfully applied (`UPDATE` requests or
     /// `apply_delta` calls; rejected deltas count as `errors`).

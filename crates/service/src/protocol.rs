@@ -47,34 +47,27 @@
 //! client does not have to wait for a response before sending the next
 //! request: writing several lines back-to-back (e.g. an `OPEN` followed
 //! immediately by `NEXT`s against the session id it *will* return —
-//! ids are assigned sequentially per engine) is valid on both front
-//! ends. The legacy thread-per-connection server interleaves
-//! read/respond per line; the `ktpm-net` event-loop server parses
-//! requests incrementally off the socket, queues them per connection
-//! (bounded), and streams the responses back in order — several `NEXT`
-//! batches can be in the pipe at once, so consecutive answers arrive
-//! without a full client round-trip between them. Responses are
-//! byte-identical between the two front ends: both render through the
-//! same [`crate::Server`]-level `respond` path.
+//! ids are assigned sequentially per engine) is valid. The `ktpm-net`
+//! front end parses requests incrementally off the socket, queues them
+//! per connection (bounded), and streams the responses back in order —
+//! several `NEXT` batches can be in the pipe at once, so consecutive
+//! answers arrive without a full client round-trip between them. Every
+//! reply renders through [`crate::respond`].
 //!
 //! ## Backpressure: `ERR overloaded`
 //!
-//! The event-loop front end bounds each connection's pending-request
-//! queue and write buffer. A request that arrives while either bound
-//! is exceeded is **shed**: it is answered `ERR overloaded` (in order,
-//! like any response) without reaching the engine, and counted in the
-//! `shed_total` STATS field. The legacy front end sheds whole
-//! connections instead: if it cannot spawn a handler thread (fd/thread
-//! exhaustion), the new connection receives `ERR overloaded` and is
-//! closed. Clients should treat `ERR overloaded` as retryable after
-//! draining in-flight responses.
+//! The front end bounds each connection's pending-request queue and
+//! write buffer. A request that arrives while either bound is exceeded
+//! is **shed**: it is answered `ERR overloaded` (in order, like any
+//! response) without reaching the engine, and counted in the
+//! `shed_total` STATS field. Clients should treat `ERR overloaded` as
+//! retryable after draining in-flight responses.
 //!
 //! ## Idle timeouts
 //!
 //! Connections with no client request for
 //! [`crate::ServiceConfig::idle_timeout`] (default 300 s, `--idle-timeout`
-//! on `ktpm serve`, `None` = never) are closed by the server: the
-//! legacy path via a socket read timeout, the event loop via its
+//! on `ktpm serve`, `None` = never) are closed by the server's
 //! readiness sweep. Idle *sessions* are independent — they live until
 //! the session TTL and survive their connection, so a client may
 //! reconnect and resume a session by id.
@@ -164,16 +157,20 @@
 //! storage-failed       a local storage failure degraded a read
 //!                      (corrupt block, lost shard file, ...); the
 //!                      observing session is poisoned — re-OPEN
-//! overloaded           request or connection shed by backpressure;
+//! internal             the request panicked inside the engine; the
+//!                      connection and the server survive, and a
+//!                      panicking NEXT's session is dropped (a later
+//!                      NEXT on it answers unknown-session)
+//! overloaded           request shed by backpressure;
 //!                      retry after draining in-flight responses
 //! line-too-long        request line exceeded the front end's limit
 //! ```
 //!
 //! `STATS` includes the serving-tier fields `connections_active` (a
-//! gauge across both front ends), `queue_depth_max` (the deepest
-//! pending-request queue any pipelined connection reached on the event
-//! loop) and `shed_total` (requests or connections refused with
-//! `ERR overloaded`), alongside the engine counters.
+//! gauge of open connections), `queue_depth_max` (the deepest
+//! pending-request queue any pipelined connection reached) and
+//! `shed_total` (requests refused with `ERR overloaded`), alongside the
+//! engine counters.
 //!
 //! It also reports the store's cumulative I/O as `io_*` fields:
 //! `io_block_reads`, `io_bytes_read`, `io_edges_read`, `io_d_entries`,
@@ -207,6 +204,7 @@ pub const ERROR_CODES: &[&str] = &[
     "update-failed",
     "remote-unavailable",
     "storage-failed",
+    "internal",
     "overloaded",
     "line-too-long",
 ];

@@ -1,216 +1,67 @@
-//! The TCP front end: an accept loop, one thread per connection, plus a
-//! janitor thread driving session-TTL eviction.
+//! Request dispatch: one wire request line in, one complete response
+//! out. The TCP front end (`ktpm_net::EventServer`) renders every reply
+//! through [`respond`]; embedders and tests can call it directly.
 
 use crate::engine::{Algo, ServiceError, ServiceHandle};
 use crate::protocol::{parse_request, render_next, Request};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
-
-/// A running TCP server; dropping it stops the accept loop and janitor
-/// (established connections finish on their own).
-pub struct Server {
-    addr: std::net::SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    janitor: Option<JoinHandle<()>>,
-}
-
-impl Server {
-    /// Binds `addr` (use port 0 for an ephemeral port) and serves
-    /// `handle` in background threads.
-    pub fn spawn(handle: ServiceHandle, addr: impl ToSocketAddrs) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-
-        let accept = {
-            let handle = handle.clone();
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("ktpm-accept".into())
-                .spawn(move || accept_loop(listener, handle, stop))?
-        };
-        let janitor = {
-            let handle = handle.clone();
-            let stop = Arc::clone(&stop);
-            let interval = handle.config().sweep_interval;
-            std::thread::Builder::new()
-                .name("ktpm-janitor".into())
-                .spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        handle.sweep_expired();
-                        // Time-sliced so a long configured interval
-                        // never delays shutdown by a full period.
-                        let deadline = std::time::Instant::now() + interval;
-                        while !stop.load(Ordering::Relaxed) {
-                            let left =
-                                deadline.saturating_duration_since(std::time::Instant::now());
-                            if left.is_zero() {
-                                break;
-                            }
-                            std::thread::sleep(left.min(Duration::from_millis(50)));
-                        }
-                    }
-                })?
-        };
-        Ok(Server {
-            addr,
-            stop,
-            accept: Some(accept),
-            janitor: Some(janitor),
-        })
-    }
-
-    /// The bound address (resolves port 0).
-    pub fn local_addr(&self) -> std::net::SocketAddr {
-        self.addr
-    }
-
-    /// Signals shutdown and joins the background threads.
-    pub fn shutdown(mut self) {
-        self.stop_threads();
-    }
-
-    fn stop_threads(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        // Poke the accept loop awake so it observes the flag.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.janitor.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.stop_threads();
-    }
-}
-
-fn accept_loop(listener: TcpListener, handle: ServiceHandle, stop: Arc<AtomicBool>) {
-    for stream in listener.incoming() {
-        if stop.load(Ordering::Relaxed) {
-            return;
-        }
-        let Ok(stream) = stream else {
-            // Persistent accept errors (fd exhaustion, EMFILE) would
-            // otherwise busy-spin; back off and let connections close.
-            std::thread::sleep(Duration::from_millis(20));
-            continue;
-        };
-        // Keep a second handle to the socket: if the spawn fails (thread
-        // or fd exhaustion) the closure — and the stream it captured —
-        // are gone, but the connection must still be refused audibly
-        // (`ERR overloaded` + a shed count) instead of silently dropped
-        // as the old `let _ = spawn(..)` did.
-        let conn = handle.clone();
-        match stream.try_clone() {
-            Ok(thread_stream) => {
-                let spawned =
-                    std::thread::Builder::new()
-                        .name("ktpm-conn".into())
-                        .spawn(move || {
-                            let _ = serve_connection(thread_stream, &conn);
-                        });
-                if spawned.is_err() {
-                    refuse_overloaded(stream, &handle);
-                }
-            }
-            Err(_) => refuse_overloaded(stream, &handle),
-        }
-    }
-}
-
-/// Declines `stream` because the server cannot serve it right now:
-/// best-effort `ERR overloaded` so the client sees backpressure rather
-/// than a silent hangup, counted in `shed_total`.
-fn refuse_overloaded(mut stream: TcpStream, handle: &ServiceHandle) {
-    handle.metrics().shed();
-    let _ = stream.write_all(b"ERR overloaded\n");
-    let _ = stream.flush();
-}
-
-/// Drives one client connection until EOF or idle timeout
-/// ([`crate::ServiceConfig::idle_timeout`], applied as a socket read
-/// timeout so an idle client cannot pin this thread forever). Public so
-/// alternative transports (unix sockets, in-process pipes, tests) can
-/// reuse the request loop with any bidirectional byte stream.
-///
-/// Requests pipeline naturally here too: the reader consumes one line
-/// at a time from the socket buffer, so a client may write several
-/// requests back-to-back and read the responses — always complete and
-/// in request order — afterwards.
-pub fn serve_connection(stream: TcpStream, handle: &ServiceHandle) -> std::io::Result<()> {
-    handle.metrics().connection_opened();
-    // Count the close on every exit path, including errors.
-    struct Gauge<'a>(&'a ServiceHandle);
-    impl Drop for Gauge<'_> {
-        fn drop(&mut self) {
-            self.0.metrics().connection_closed();
-        }
-    }
-    let _gauge = Gauge(handle);
-    stream.set_read_timeout(handle.config().idle_timeout)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()), // client closed
-            Ok(_) => {}
-            // Read timeout: the client sent nothing (not even a partial
-            // line we could wait out) for the whole idle window — hang
-            // up and release the thread.
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = respond(handle, &line);
-        writer.write_all(response.as_bytes())?;
-        writer.flush()?;
-    }
-}
+use std::any::Any;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Computes the full response text (always newline-terminated) for one
 /// request line.
+///
+/// A panic inside the engine costs this one reply, not the calling
+/// thread: it answers `ERR internal …` and counts one error. A
+/// panicking `NEXT` also drops its session without publishing the
+/// prefix, since the stream stopped partway through an advance.
 pub fn respond(handle: &ServiceHandle, line: &str) -> String {
-    match parse_request(line) {
+    let request = match parse_request(line) {
         // Parser-level failures are all one taxonomy code: the request
         // line itself was malformed (see the protocol module docs).
-        Err(msg) => format!("ERR bad-request {msg}\n"),
-        Ok(Request::Open { algo, query }) => match Algo::parse(&algo) {
+        Err(msg) => return format!("ERR bad-request {msg}\n"),
+        Ok(request) => request,
+    };
+    let session = match request {
+        Request::Next { id, .. } => Some(id),
+        _ => None,
+    };
+    catch_unwind(AssertUnwindSafe(|| dispatch(handle, request))).unwrap_or_else(|payload| {
+        if let Some(id) = session {
+            handle.discard(id);
+        }
+        handle.metrics().error();
+        format!("ERR {}\n", ServiceError::Internal(panic_detail(&*payload)))
+    })
+}
+
+/// The panic message, flattened onto one line so it fits the wire.
+fn panic_detail(payload: &(dyn Any + Send)) -> String {
+    let msg = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload");
+    msg.replace(['\r', '\n'], " ")
+}
+
+fn dispatch(handle: &ServiceHandle, request: Request) -> String {
+    match request {
+        Request::Open { algo, query } => match Algo::parse(&algo) {
             None => format!("ERR {}\n", ServiceError::UnknownAlgo(algo)),
             Some(algo) => match handle.open(&query, algo) {
                 Ok(id) => format!("OK {id}\n"),
                 Err(e) => format!("ERR {e}\n"),
             },
         },
-        Ok(Request::Next { id, n }) => match handle.next(id, n) {
+        Request::Next { id, n } => match handle.next(id, n) {
             Ok(batch) => render_next(&batch),
             Err(e) => format!("ERR {e}\n"),
         },
-        Ok(Request::Close { id }) => match handle.close(id) {
+        Request::Close { id } => match handle.close(id) {
             Ok(()) => "OK closed\n".to_string(),
             Err(e) => format!("ERR {e}\n"),
         },
-        Ok(Request::Stats) => {
+        Request::Stats => {
             let s = handle.stats();
             format!(
                 "OK sessions_active={} cache_entries={} plan_entries={} plan_bytes={} \
@@ -244,7 +95,7 @@ pub fn respond(handle: &ServiceHandle, line: &str) -> String {
                 s.metrics.to_wire()
             )
         }
-        Ok(Request::Update { delta }) => match handle.apply_delta(&delta) {
+        Request::Update { delta } => match handle.apply_delta(&delta) {
             Ok(r) => format!(
                 "OK version={} touched_pairs={} plans_invalidated={} \
                  prefix_entries_invalidated={} sessions_fenced={}\n",
@@ -443,9 +294,9 @@ mod tests {
         use crate::protocol::ERROR_CODES;
         // Drive every in-engine failure path over the respond() wire
         // surface; each reply's first token after ERR must be one of
-        // the documented taxonomy codes. (The two front-end-only codes,
-        // `overloaded` and `line-too-long`, are asserted by the server
-        // shed path and the ktpm-net reactor tests respectively.)
+        // the documented taxonomy codes. (The front-end codes
+        // `overloaded` and `line-too-long`, and `internal` from a
+        // panicking store, are asserted by the ktpm-net tests.)
         let g = citation_graph();
         let live = ktpm_storage::LiveStore::new(g.clone()).into_shared();
         let h = QueryEngine::new(
@@ -570,17 +421,5 @@ mod tests {
         let id = respond(&h, "OPEN topk C -> E");
         assert!(id.starts_with("OK "), "{id:?}");
         assert!(respond(&h, "STATS").contains("plan_hits=1"));
-    }
-
-    #[test]
-    fn server_spawns_and_shuts_down() {
-        let h = test_handle();
-        let server = Server::spawn(h, ("127.0.0.1", 0)).unwrap();
-        let addr = server.local_addr();
-        // A raw connect/disconnect must not wedge anything.
-        drop(TcpStream::connect(addr).unwrap());
-        server.shutdown();
-        // Port is released: a new bind to the same address succeeds.
-        let _ = TcpListener::bind(addr).unwrap();
     }
 }

@@ -12,11 +12,9 @@ use ktpm_core::{topk_full, ParallelPolicy, ScoredMatch, ShardEngine};
 use ktpm_graph::fixtures::{citation_graph, paper_graph};
 use ktpm_graph::{LabeledGraph, Score};
 use ktpm_query::TreeQuery;
-use ktpm_service::{protocol, Algo, QueryEngine, Server, ServiceConfig, ServiceHandle, SessionId};
+use ktpm_service::{Algo, QueryEngine, ServiceConfig, ServiceHandle};
 use ktpm_storage::MemStore;
 use ktpm_workload::{generate, GraphSpec};
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -498,169 +496,6 @@ fn idle_sessions_are_evicted_and_publish_their_prefix() {
     let id = handle.open("C -> E\nC -> S", Algo::TopkEn).unwrap();
     assert_eq!(handle.stats().metrics.cache_hits, 1);
     handle.close(id).unwrap();
-}
-
-// ---------------------------------------------------------------------
-// TCP end-to-end
-// ---------------------------------------------------------------------
-
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).unwrap();
-        Client {
-            reader: BufReader::new(stream.try_clone().unwrap()),
-            writer: stream,
-        }
-    }
-
-    fn send_line(&mut self, line: &str) -> String {
-        writeln!(self.writer, "{line}").unwrap();
-        self.writer.flush().unwrap();
-        let mut resp = String::new();
-        self.reader.read_line(&mut resp).unwrap();
-        resp
-    }
-
-    fn open(&mut self, algo: &str, query_semicolons: &str) -> SessionId {
-        let resp = self.send_line(&format!("OPEN {algo} {query_semicolons}"));
-        resp.trim()
-            .strip_prefix("OK ")
-            .unwrap_or_else(|| panic!("open failed: {resp:?}"))
-            .parse()
-            .unwrap()
-    }
-
-    fn next(&mut self, id: SessionId, n: usize) -> ktpm_service::NextBatch {
-        writeln!(self.writer, "NEXT {id} {n}").unwrap();
-        self.writer.flush().unwrap();
-        let mut text = String::new();
-        self.reader.read_line(&mut text).unwrap();
-        let count: usize = text
-            .split_whitespace()
-            .nth(1)
-            .and_then(|c| c.parse().ok())
-            .unwrap_or_else(|| panic!("bad NEXT header {text:?}"));
-        for _ in 0..count {
-            self.reader.read_line(&mut text).unwrap();
-        }
-        protocol::parse_next_response(&text).unwrap()
-    }
-
-    fn close(&mut self, id: SessionId) {
-        let resp = self.send_line(&format!("CLOSE {id}"));
-        assert_eq!(resp.trim(), "OK closed");
-    }
-}
-
-#[test]
-fn tcp_end_to_end_with_two_concurrent_clients() {
-    let g = citation_graph();
-    let handle = handle_for(&g, ServiceConfig::default());
-    let server = Server::spawn(handle.clone(), ("127.0.0.1", 0)).unwrap();
-    let addr = server.local_addr();
-    let want = oracle(&g, "C -> E\nC -> S", 100);
-    assert_eq!(want.len(), 5);
-
-    // The acceptance scenario: two concurrent clients each run
-    // OPEN / NEXT / NEXT / CLOSE and must see exactly topk_full's
-    // stream (same engine + same algorithm reproduces tie order).
-    let threads: Vec<_> = (0..2)
-        .map(|_| {
-            let want = want.clone();
-            std::thread::spawn(move || {
-                let mut c = Client::connect(addr);
-                let id = c.open("topk", "C -> E; C -> S");
-                let first = c.next(id, 2);
-                assert!(!first.exhausted);
-                let rest = c.next(id, 100);
-                assert!(rest.exhausted);
-                let got: Vec<ScoredMatch> = first.matches.into_iter().chain(rest.matches).collect();
-                assert_eq!(got, want);
-                c.close(id);
-            })
-        })
-        .collect();
-    for t in threads {
-        t.join().unwrap();
-    }
-
-    // STATS over the wire reflects both clients.
-    let mut c = Client::connect(addr);
-    let stats = c.send_line("STATS");
-    assert!(stats.contains("sessions_opened=2"), "{stats:?}");
-    assert!(stats.contains("sessions_closed=2"), "{stats:?}");
-    assert!(stats.contains("errors=0"), "{stats:?}");
-    server.shutdown();
-}
-
-#[test]
-fn tcp_sessions_are_isolated_between_clients() {
-    let g = paper_graph();
-    let handle = handle_for(&g, ServiceConfig::default());
-    let server = Server::spawn(handle, ("127.0.0.1", 0)).unwrap();
-    let addr = server.local_addr();
-
-    let mut a = Client::connect(addr);
-    let mut b = Client::connect(addr);
-    let qa = a.open("topk-en", "a -> b; a -> c; c -> d; c -> e");
-    let qb = b.open("topk-en", "a -> c");
-    assert_ne!(qa, qb);
-
-    // Interleave: each client advances its own cursor only.
-    let a1 = a.next(qa, 1);
-    let b1 = b.next(qb, 1);
-    let a2 = a.next(qa, 1);
-    let b2 = b.next(qb, 1);
-    let want_a = oracle(&g, "a -> b\na -> c\nc -> d\nc -> e", 2);
-    let want_b = oracle(&g, "a -> c", 2);
-    assert_eq!(scores(&[a1.matches, a2.matches].concat()), scores(&want_a));
-    assert_eq!(scores(&[b1.matches, b2.matches].concat()), scores(&want_b));
-
-    // Closing one session must not affect the other.
-    a.close(qa);
-    let b3 = b.next(qb, 100);
-    assert!(b3.exhausted);
-    server.shutdown();
-}
-
-#[test]
-fn tcp_kgpm_sessions_stream_park_and_resume() {
-    // Graph patterns over the wire: OPEN kgpm with a cyclic edge list,
-    // pull across batch boundaries (the session parks the KgpmStream
-    // between requests), and a second client's re-open of the same
-    // pattern is a plan hit.
-    let g = citation_graph();
-    let handle = handle_for(&g, ServiceConfig::default());
-    let server = Server::spawn(handle.clone(), ("127.0.0.1", 0)).unwrap();
-    let addr = server.local_addr();
-
-    let mut c = Client::connect(addr);
-    let id = c.open("kgpm", "C -> E; E -> S; S -> C");
-    let first = c.next(id, 4);
-    assert_eq!(first.matches.len(), 4);
-    assert!(!first.exhausted);
-    let rest = c.next(id, 100);
-    assert!(rest.exhausted);
-    let all: Vec<ScoredMatch> = first.matches.into_iter().chain(rest.matches).collect();
-    assert_eq!(all.len(), 12, "3 C × 2 E × 2 S pairwise-connected triples");
-    assert!(all.windows(2).all(|w| w[0].score <= w[1].score));
-    c.close(id);
-
-    let mut d = Client::connect(addr);
-    let id = d.open("kgpm", "C -> E; E -> S; S -> C");
-    let again = d.next(id, 100);
-    assert!(again.exhausted);
-    assert_eq!(again.matches, all, "warm kgpm open streams identical bytes");
-    d.close(id);
-    let stats = handle.stats().metrics;
-    assert_eq!(stats.plan_hits, 1, "second open hit the pattern plan");
-    assert_eq!(stats.errors, 0);
-    server.shutdown();
 }
 
 // ---------------------------------------------------------------------

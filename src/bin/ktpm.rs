@@ -68,27 +68,21 @@
 //!                       (default) drops only state whose query reads a
 //!                       closure table the delta touched; `flush-all`
 //!                       drops everything
-//!   --workers <n>       worker threads (default: CPU count, capped at 16)
-//!   --event-loop        serve with the `ktpm-net` readiness loop instead
-//!                       of a thread per connection: one reactor thread
-//!                       multiplexes every socket, a fixed executor pool
-//!                       runs requests, parked connections hold no
-//!                       thread, and clients may pipeline requests
-//!                       (responses stream back in request order,
-//!                       byte-identical to the legacy path). Overload is
-//!                       shed per request with `ERR overloaded`.
-//!   --net-workers <n>   event-loop executor threads (default: CPU
-//!                       count, clamped to 2..8; implies --event-loop)
+//!   --workers <n>       executor threads running requests (default: CPU
+//!                       count, capped at 16). One reactor thread
+//!                       multiplexes every socket, parked connections
+//!                       hold no thread, and clients may pipeline
+//!                       requests (responses stream back in request
+//!                       order). Overload is shed per request with
+//!                       `ERR overloaded`.
 //!   --pipeline <n>      per-connection bound on queued pipelined
-//!                       requests before shedding (default 64; implies
-//!                       --event-loop)
+//!                       requests before shedding (default 64)
 //!   --write-buf <bytes> per-connection bound on unflushed response
-//!                       bytes before shedding (default 262144; implies
-//!                       --event-loop)
+//!                       bytes before shedding (default 262144)
 //!   --idle-timeout <secs>
-//!                       close connections silent for this long, on both
-//!                       front ends (default 300; 0 = never). Sessions
-//!                       survive their connection and can be resumed.
+//!                       close connections silent for this long
+//!                       (default 300; 0 = never). Sessions survive
+//!                       their connection and can be resumed.
 //!   --sweep-interval-ms <n>
 //!                       janitor cadence for session-TTL eviction
 //!                       (default 200)
@@ -181,7 +175,7 @@
 use ktpm::api::Executor;
 use ktpm::net::{EventServer, NetConfig};
 use ktpm::prelude::*;
-use ktpm::service::{QueryEngine, Server, ServiceConfig};
+use ktpm::service::{QueryEngine, ServiceConfig};
 use std::io::BufReader;
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
@@ -199,7 +193,7 @@ fn main() -> ExitCode {
                 "usage: ktpm closure <graph.txt> <store.tc|dir> [--shards n] [--block-entries n]"
             );
             eprintln!("       ktpm query <graph.txt> <query.txt> [-k n] [--store p|tcp://host:port] [--algo a] [--parallel n] [--repeat n] [--on-demand] [--block-cache-bytes n] [--iostats]");
-            eprintln!("       ktpm serve <graph.txt> [--addr host:port] [--store p|tcp://host:port] [--on-demand] [--block-cache-bytes n] [--workers n] [--parallel n] [--ttl secs] [--plan-cache n] [--plan-cache-bytes n] [--warm file] [--invalidation policy] [--event-loop] [--net-workers n] [--pipeline n] [--write-buf bytes] [--idle-timeout secs] [--sweep-interval-ms n]");
+            eprintln!("       ktpm serve <graph.txt> [--addr host:port] [--store p|tcp://host:port] [--on-demand] [--block-cache-bytes n] [--workers n] [--parallel n] [--ttl secs] [--plan-cache n] [--plan-cache-bytes n] [--warm file] [--invalidation policy] [--pipeline n] [--write-buf bytes] [--idle-timeout secs] [--sweep-interval-ms n]");
             eprintln!("       ktpm blockd --store <path> [--listen host:port]");
             eprintln!("       ktpm store verify <store.tc|MANIFEST|dir>");
             return ExitCode::from(2);
@@ -478,7 +472,6 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut store_path: Option<String> = None;
     let mut warm_path: Option<String> = None;
     let mut on_demand = false;
-    let mut event_loop = false;
     let mut block_cache_bytes: Option<u64> = None;
     let mut config = ServiceConfig::default();
     let mut net_config = NetConfig::default();
@@ -496,17 +489,10 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             }
             "--warm" => warm_path = Some(it.next().ok_or("--warm needs a file")?.clone()),
             "--on-demand" => on_demand = true,
-            "--event-loop" => event_loop = true,
-            "--net-workers" => {
-                event_loop = true;
-                net_config.workers = it.next().ok_or("--net-workers needs a count")?.parse()?;
-            }
             "--pipeline" => {
-                event_loop = true;
                 net_config.max_pipeline = it.next().ok_or("--pipeline needs a count")?.parse()?;
             }
             "--write-buf" => {
-                event_loop = true;
                 net_config.max_write_buffer =
                     it.next().ok_or("--write-buf needs a byte count")?.parse()?;
             }
@@ -561,7 +547,7 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
     let [graph_path] = positional.as_slice() else {
         return Err(
-            "usage: ktpm serve <graph.txt> [--addr host:port] [--store p] [--on-demand] [--block-cache-bytes n] [--workers n] [--parallel n] [--ttl secs] [--plan-cache n] [--plan-cache-bytes n] [--warm file] [--invalidation policy] [--event-loop] [--net-workers n] [--pipeline n] [--write-buf bytes] [--idle-timeout secs] [--sweep-interval-ms n]"
+            "usage: ktpm serve <graph.txt> [--addr host:port] [--store p] [--on-demand] [--block-cache-bytes n] [--workers n] [--parallel n] [--ttl secs] [--plan-cache n] [--plan-cache-bytes n] [--warm file] [--invalidation policy] [--pipeline n] [--write-buf bytes] [--idle-timeout secs] [--sweep-interval-ms n]"
                 .into(),
         );
     };
@@ -598,20 +584,12 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             t.elapsed()
         );
     }
-    // Either front end serves the same protocol over the same handle;
-    // the boxed server is held only to keep its threads alive.
-    let (local_addr, front_end, _server): (_, _, Box<dyn std::any::Any>) = if event_loop {
-        let s = EventServer::spawn(handle, addr.as_str(), net_config)?;
-        (s.local_addr(), "event loop", Box::new(s))
-    } else {
-        let s = Server::spawn(handle, addr.as_str())?;
-        (s.local_addr(), "thread per connection", Box::new(s))
-    };
+    let server = EventServer::spawn(handle, addr.as_str(), net_config)?;
     println!(
-        "serving {} nodes / {} edges on {} ({} workers, {front_end}, setup {:?})",
+        "serving {} nodes / {} edges on {} ({} workers, setup {:?})",
         g.num_nodes(),
         g.num_edges(),
-        local_addr,
+        server.local_addr(),
         workers,
         t.elapsed()
     );

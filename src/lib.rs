@@ -5,7 +5,8 @@
 //! 2015 — including the optimal Lawler-based enumerator (`Topk`), the
 //! priority-based `Topk-EN`, the DP-B/DP-P baselines it compares
 //! against, general twig support (duplicate labels, wildcards, `/`
-//! edges), and the kGPM graph-pattern extension (mtree / mtree+).
+//! edges), and the kGPM graph-pattern extension (mtree / mtree+, both
+//! drivers of [`core::KgpmStream`]).
 //!
 //! ## Quickstart
 //!
@@ -59,11 +60,10 @@
 //! | [`runtime`] | run-time graph `G_R` construction |
 //! | [`core`] | **Algorithms 1–3** (`Topk`, `ComputeFirst`, `Topk-EN`) + `ParTopk`, the DP-B / DP-P baselines, the kGPM pattern engine (`KgpmStream`, pattern plans, `decompose`), the [`core::MatchStream`] surface, [`core::Algo`] registry |
 //! | [`api`] | **the facade**: `Executor` / `QueryBuilder` → `Box<dyn MatchStream + Send>` (tree *and* graph-pattern queries) |
-//! | [`kgpm`] | compat shim over `core`'s kGPM engine: `KgpmContext` batch API, mtree / mtree+ |
 //! | [`workload`] | dataset & query generators for the §6 experiments |
-//! | [`exec`] | shared worker pool scheduling shard jobs and request batches |
-//! | [`service`] | concurrent query service: sessions, result cache, TCP protocol |
-//! | [`net`] | event-driven TCP front end: readiness loop, pipelining, backpressure |
+//! | [`exec`] | shared worker pool scheduling shard jobs |
+//! | [`service`] | concurrent query service: sessions, result and plan caches, wire protocol |
+//! | [`net`] | the TCP front end: readiness loop, pipelining, backpressure; the block server |
 //!
 //! ## Serving
 //!
@@ -78,15 +78,13 @@
 //! See `ktpm serve` (the TCP front end) and `examples/service_embed.rs`
 //! (the in-process API).
 //!
-//! Two interchangeable TCP front ends speak the same wire protocol over
-//! the same engine: the legacy thread-per-connection
-//! [`service::Server`], and the [`net::EventServer`] readiness loop
-//! (`ktpm serve --event-loop`) — one reactor thread multiplexing every
-//! connection, a fixed executor pool, pipelined requests answered in
-//! order, and bounded per-connection queues that shed overload with
-//! `ERR overloaded` instead of queueing without limit. Parked sessions
-//! hold no thread on either path; on the event loop, parked
-//! *connections* don't either.
+//! One TCP front end serves the wire protocol: the [`net::EventServer`]
+//! readiness loop behind `ktpm serve` — one reactor thread multiplexing
+//! every connection, a fixed executor set that runs each request to
+//! completion, pipelined requests answered in order, and bounded
+//! per-connection queues that shed overload with `ERR overloaded`
+//! instead of queueing without limit. Neither parked sessions nor
+//! parked connections hold a thread.
 //!
 //! ## Parallel execution
 //!
@@ -111,7 +109,6 @@ pub use ktpm_closure as closure;
 pub use ktpm_core as core;
 pub use ktpm_exec as exec;
 pub use ktpm_graph as graph;
-pub use ktpm_kgpm as kgpm;
 pub use ktpm_net as net;
 pub use ktpm_query as query;
 pub use ktpm_runtime as runtime;
@@ -126,23 +123,23 @@ pub mod prelude {
     pub use ktpm_core::{
         build_stream, canonical, canonical_query_text, decompose, limit, par_topk, topk_en,
         topk_full, Algo, AlgoCaps, BoundMode, BoxedMatchStream, DpBEnumerator, DpPEnumerator,
-        MatchStream, ParTopk, ParallelPolicy, PatternUnsupported, QueryPlan, ScoredMatch,
-        ShardEngine, ShardSpec, SpanningTree, StreamState, TopkEnEnumerator, TopkEnumerator,
+        GraphMatch, KgpmStats, KgpmStream, MatchStream, ParTopk, ParallelPolicy,
+        PatternUnsupported, QueryPlan, ScoredMatch, ShardEngine, ShardSpec, SpanningTree,
+        StreamState, TopkEnEnumerator, TopkEnumerator,
     };
     pub use ktpm_exec::WorkerPool;
     pub use ktpm_graph::{
         Dist, GraphBuilder, GraphDelta, LabelId, LabeledGraph, NodeId, NodeRow, Score, INF_DIST,
         INF_SCORE,
     };
-    pub use ktpm_kgpm::{GraphMatch, KgpmContext, KgpmStats, KgpmStream, TreeMatcher};
     pub use ktpm_net::{BlockServer, EventServer, NetConfig};
     pub use ktpm_query::{
         EdgeKind, GraphQuery, QNodeId, ResolvedQuery, TreeQuery, TreeQueryBuilder,
     };
     pub use ktpm_runtime::RuntimeGraph;
     pub use ktpm_service::{
-        InvalidationPolicy, NextBatch, PlanCache, QueryEngine, Server, ServiceConfig,
-        ServiceHandle, SessionId, UpdateReport, WarmReport,
+        InvalidationPolicy, NextBatch, PlanCache, QueryEngine, ServiceConfig, ServiceHandle,
+        SessionId, UpdateReport, WarmReport,
     };
     pub use ktpm_storage::{
         open_store_auto, open_store_uri, write_store, write_store_sharded, write_store_v3,

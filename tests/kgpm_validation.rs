@@ -1,10 +1,11 @@
-//! Randomized kGPM validation through the `ktpm::api` facade: on
-//! random graphs and random cyclic patterns, both tree drivers —
-//! mtree (DP-B inside, `ShardEngine::Full`) and mtree+ (Topk-EN
-//! inside, `ShardEngine::Lazy`) — must agree with exhaustive
+//! kGPM validation through the `ktpm::api` facade: on random graphs
+//! and random cyclic patterns, and on fixed paper-graph fixtures, both
+//! tree drivers — mtree (DP-B inside, `ShardEngine::Full`) and mtree+
+//! (Topk-EN inside, `ShardEngine::Lazy`) — must agree with exhaustive
 //! enumeration over the undirected closure, sequentially and sharded.
 
 use ktpm::api::Executor;
+use ktpm::graph::fixtures::{citation_graph, paper_graph};
 use ktpm::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -34,53 +35,14 @@ fn pattern_exec(g: &LabeledGraph) -> Executor {
     Executor::new(g.interner().clone(), store)
 }
 
-/// Exhaustive kGPM oracle: all label-consistent assignments whose every
-/// pattern edge has a finite undirected distance, scored and sorted.
-fn oracle(ug: &LabeledGraph, q: &GraphQuery, k: usize) -> Vec<Score> {
-    let tc = ktpm::closure::ClosureTables::compute(ug);
-    let mut candidates: Vec<Vec<NodeId>> = Vec::new();
-    for u in 0..q.len() {
-        match ug.interner().get(q.label(u)) {
-            Some(l) if !ug.nodes_with_label(l).is_empty() => {
-                candidates.push(ug.nodes_with_label(l).to_vec())
-            }
-            _ => return Vec::new(),
-        }
-    }
-    let mut scores = Vec::new();
-    let mut pick = vec![0usize; q.len()];
-    'outer: loop {
-        let assignment: Vec<NodeId> = pick
-            .iter()
-            .enumerate()
-            .map(|(u, &i)| candidates[u][i])
-            .collect();
-        let mut total: Score = 0;
-        let mut ok = true;
-        for &(a, b) in q.edges() {
-            match tc.dist(assignment[a], assignment[b]) {
-                Some(d) => total += d as Score,
-                None => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if ok {
-            scores.push(total);
-        }
-        for u in 0..q.len() {
-            pick[u] += 1;
-            if pick[u] < candidates[u].len() {
-                continue 'outer;
-            }
-            pick[u] = 0;
-        }
-        break;
-    }
-    scores.sort_unstable();
-    scores.truncate(k);
-    scores
+/// Exhaustive kGPM oracle: the top-k scores of every label-consistent
+/// assignment whose pattern edges all have finite undirected distances.
+fn oracle(g: &LabeledGraph, q: &GraphQuery, k: usize) -> Vec<Score> {
+    ktpm::core::brute::all_pattern_matches(g, q)
+        .into_iter()
+        .take(k)
+        .map(|(score, _)| score)
+        .collect()
 }
 
 /// A random connected pattern with distinct labels and possible cycles.
@@ -115,12 +77,11 @@ fn kgpm_matchers_agree_with_oracle_on_random_workloads() {
         let nodes = rng.random_range(5..12);
         let g = random_graph(&mut rng, nodes, 4);
         let exec = pattern_exec(&g);
-        let ug = ktpm::graph::undirect(&g);
         let Some(q) = random_pattern(&mut rng, 4) else {
             continue;
         };
         let k = rng.random_range(1..12);
-        let expect = oracle(&ug, &q, k);
+        let expect = oracle(&g, &q, k);
         for engine in [ShardEngine::Full, ShardEngine::Lazy] {
             for shards in [1, 3] {
                 let got: Vec<Score> = exec
@@ -168,4 +129,80 @@ fn kgpm_matches_verify_against_closure() {
             }
         }
     }
+}
+
+fn labels(v: &[&str]) -> Vec<String> {
+    v.iter().map(|s| s.to_string()).collect()
+}
+
+#[test]
+fn kgpm_matchers_agree_with_oracle_on_fixed_fixtures() {
+    // Hand-picked inputs with known shapes: two triangles and a square
+    // on the paper graph, a tree-shaped pattern on the Figure-1 graph,
+    // a label the graph lacks, and k = 0. Streams must equal the
+    // oracle element for element — scores and assignments.
+    let paper = paper_graph();
+    let citation = citation_graph();
+    let cases: Vec<(&LabeledGraph, GraphQuery, usize)> = vec![
+        (
+            &paper,
+            GraphQuery::new(labels(&["a", "c", "d"]), vec![(0, 1), (1, 2), (0, 2)]).unwrap(),
+            50,
+        ),
+        (
+            &paper,
+            GraphQuery::new(labels(&["c", "d", "e"]), vec![(0, 1), (1, 2), (2, 0)]).unwrap(),
+            10,
+        ),
+        (
+            &paper,
+            GraphQuery::new(
+                labels(&["a", "b", "c", "d"]),
+                vec![(0, 1), (0, 2), (2, 3), (1, 3)],
+            )
+            .unwrap(),
+            10,
+        ),
+        (
+            &citation,
+            GraphQuery::new(labels(&["C", "E", "S"]), vec![(0, 1), (0, 2)]).unwrap(),
+            20,
+        ),
+        (
+            &paper,
+            GraphQuery::new(labels(&["a", "zz"]), vec![(0, 1)]).unwrap(),
+            5,
+        ),
+        (
+            &paper,
+            GraphQuery::new(labels(&["a", "b"]), vec![(0, 1)]).unwrap(),
+            0,
+        ),
+    ];
+    let mut nonempty = 0;
+    for (g, q, k) in &cases {
+        let exec = pattern_exec(g);
+        let mut want = ktpm::core::brute::all_pattern_matches(g, q);
+        want.truncate(*k);
+        nonempty += usize::from(!want.is_empty());
+        for engine in [ShardEngine::Full, ShardEngine::Lazy] {
+            for shards in [1, 3] {
+                let got: Vec<(Score, Vec<NodeId>)> = exec
+                    .query_pattern(q.clone())
+                    .shard_engine(engine)
+                    .shards(shards)
+                    .k(*k)
+                    .topk()
+                    .unwrap()
+                    .into_iter()
+                    .map(|m| (m.score, m.assignment.to_vec()))
+                    .collect();
+                assert_eq!(
+                    got, want,
+                    "engine {engine:?}, {shards} shards, k {k}, q {q:?}"
+                );
+            }
+        }
+    }
+    assert_eq!(nonempty, 4, "only the missing label and k = 0 are empty");
 }

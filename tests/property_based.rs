@@ -409,43 +409,7 @@ proptest! {
             // Brute oracle: every label-consistent assignment whose
             // pattern edges all have finite undirected distances,
             // in the canonical (score, assignment) order.
-            let tc = ClosureTables::compute(&ug);
-            let candidates: Vec<&[NodeId]> = (0..q.len())
-                .map(|u| {
-                    ug.interner()
-                        .get(q.label(u))
-                        .map(|l| ug.nodes_with_label(l))
-                        .unwrap_or(&[])
-                })
-                .collect();
-            let mut want: Vec<(Score, Vec<NodeId>)> = Vec::new();
-            if candidates.iter().all(|c| !c.is_empty()) {
-                let mut pick = vec![0usize; q.len()];
-                'outer: loop {
-                    let assignment: Vec<NodeId> =
-                        pick.iter().enumerate().map(|(u, &i)| candidates[u][i]).collect();
-                    let mut total: Score = 0;
-                    let mut ok = true;
-                    for &(a, b) in q.edges() {
-                        match tc.dist(assignment[a], assignment[b]) {
-                            Some(d) => total += d as Score,
-                            None => { ok = false; break; }
-                        }
-                    }
-                    if ok {
-                        want.push((total, assignment));
-                    }
-                    for u in 0..q.len() {
-                        pick[u] += 1;
-                        if pick[u] < candidates[u].len() {
-                            continue 'outer;
-                        }
-                        pick[u] = 0;
-                    }
-                    break;
-                }
-            }
-            want.sort();
+            let mut want = ktpm::core::brute::all_pattern_matches(&g, &q);
             want.truncate(k);
 
             let store = MemStore::new(ClosureTables::compute(&g))

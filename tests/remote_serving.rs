@@ -94,7 +94,8 @@ fn remote_tier_is_byte_identical_to_local_paged_serving() {
         local_store,
         ServiceConfig::new().with_workers(2),
     );
-    let local_srv = Server::spawn(local_engine, ("127.0.0.1", 0)).unwrap();
+    let local_srv =
+        EventServer::spawn(local_engine, ("127.0.0.1", 0), NetConfig::default()).unwrap();
     let local_resp = exchange(local_srv.local_addr(), &script);
 
     // Remote tier: blockd over the sharded snapshot, RemoteStore client.
@@ -105,7 +106,8 @@ fn remote_tier_is_byte_identical_to_local_paged_serving() {
         remote_store,
         ServiceConfig::new().with_workers(2),
     );
-    let remote_srv = Server::spawn(remote_engine, ("127.0.0.1", 0)).unwrap();
+    let remote_srv =
+        EventServer::spawn(remote_engine, ("127.0.0.1", 0), NetConfig::default()).unwrap();
     let remote_resp = exchange(remote_srv.local_addr(), &script);
 
     assert!(
@@ -165,7 +167,7 @@ fn blockd_crash_mid_next_yields_a_stable_err_code_not_a_hang() {
         store,
         ServiceConfig::new().with_workers(2),
     );
-    let srv = Server::spawn(engine, ("127.0.0.1", 0)).unwrap();
+    let srv = EventServer::spawn(engine, ("127.0.0.1", 0), NetConfig::default()).unwrap();
 
     let stream = TcpStream::connect(srv.local_addr()).unwrap();
     stream
